@@ -1,7 +1,8 @@
 //! Table 2 companion bench: cycle-accurate simulation throughput per
-//! benchmark and per controller style, the coupled pair measurement that
-//! generates the table's average cells, and the batch engine's thread
-//! scaling (results stay bit-identical while wall clock shrinks).
+//! benchmark and per controller style, the coupled CENT-SYNC/DIST
+//! measurement that generates the table's average cells, and the batch
+//! engine's thread scaling (results stay bit-identical while wall clock
+//! shrinks).
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -10,8 +11,8 @@ use tauhls_core::experiments::paper_benchmarks;
 use tauhls_fsm::DistributedControlUnit;
 use tauhls_sched::BoundDfg;
 use tauhls_sim::{
-    latency_pair, latency_pair_batch, simulate_cent, simulate_cent_sync, simulate_distributed,
-    BatchRunner, CentControlUnit, CompletionModel,
+    latency_batch, simulate_cent, simulate_cent_sync, simulate_distributed, BatchRunner,
+    CentControlUnit, CompletionModel, ControlStyleSet, ElasticSpec,
 };
 
 fn main() {
@@ -64,12 +65,22 @@ fn main() {
 
     let (dfg, alloc, _) = paper_benchmarks().swap_remove(4); // diffeq
     let bound = BoundDfg::bind(&dfg, &alloc);
-    let mut rng = StdRng::seed_from_u64(2);
+    let pair = ControlStyleSet::TAU | ControlStyleSet::DIST;
+    let ps = [(0, 0.9), (1, 0.7), (2, 0.5)];
+    let cells = |trials: u64, seed: u64, runner: &BatchRunner| {
+        latency_batch(
+            black_box(&bound),
+            pair,
+            &ps,
+            trials,
+            seed,
+            ElasticSpec::zero(),
+            runner,
+        )
+        .expect("fault-free simulation")
+    };
     bench.run("table2/cells/diffeq_pair_100_trials", || {
-        black_box(
-            latency_pair(black_box(&bound), &[0.9, 0.7, 0.5], 100, &mut rng)
-                .expect("fault-free simulation"),
-        );
+        black_box(cells(100, 2, &BatchRunner::serial()));
     });
 
     // Batch engine thread scaling: same result, less wall clock.
@@ -78,10 +89,7 @@ fn main() {
         bench.run(
             &format!("table2/batch/diffeq_pair_1k_trials/t{threads}"),
             || {
-                black_box(
-                    latency_pair_batch(black_box(&bound), &[0.9, 0.7, 0.5], 1000, 2, &runner)
-                        .expect("fault-free simulation"),
-                );
+                black_box(cells(1000, 2, &runner));
             },
         );
     }

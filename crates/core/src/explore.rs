@@ -14,8 +14,8 @@ use tauhls_fsm::Encoding;
 use tauhls_logic::AreaModel;
 use tauhls_sched::{Allocation, BoundDfg};
 use tauhls_sim::{
-    derive_seed, latency_pair_batch, latency_summary_batch, BatchRunner, ControlStyle, ElasticSpec,
-    SimError,
+    derive_seed, latency_batch, latency_summary_batch, BatchRunner, ControlStyle, ControlStyleSet,
+    ElasticSpec, SimError,
 };
 
 /// One explored design point.
@@ -109,14 +109,17 @@ pub fn explore_allocations(
                     .expect("covered allocation synthesizes");
                 let point_id = ((muls as u64) << 16) | ((adds as u64) << 8) | subs as u64;
                 let point_seed = derive_seed(params.seed, point_id, 0);
-                let (_, dist) = latency_pair_batch(
+                let dist = latency_batch(
                     design.bound(),
-                    &[params.p],
+                    ControlStyleSet::DIST,
+                    &[(0, params.p)],
                     params.trials as u64,
                     point_seed,
+                    ElasticSpec::zero(),
                     runner,
                 )
-                .expect("fault-free simulation");
+                .expect("fault-free simulation")
+                .remove(0);
                 let area = system_area(
                     &design,
                     Encoding::Binary,
@@ -328,12 +331,28 @@ pub fn design_space_slice(
         let bound = BoundDfg::bind(dfg, &alloc);
         let point_id = ((muls as u64) << 16) | ((adds as u64) << 8) | subs as u64;
         let point_seed = derive_seed(params.seed, point_id, 0);
-        let (_, dist) =
-            latency_pair_batch(&bound, &params.p_values, params.trials, point_seed, runner)
-                .map_err(SweepError::Sim)?;
+        let indexed: Vec<(u64, f64)> = (0..).zip(params.p_values.iter().copied()).collect();
+        let dist = latency_batch(
+            &bound,
+            ControlStyleSet::DIST,
+            &indexed,
+            params.trials,
+            point_seed,
+            ElasticSpec::zero(),
+            runner,
+        )
+        .map_err(SweepError::Sim)?
+        .remove(0);
         // Per-skew cycle estimates, indexed [skew][p]. Skew 0 reuses the
-        // distributed leg; nonzero bounds run the elastic engine at the
-        // same seed, so both legs draw identical completion tables.
+        // coupled distributed leg. Nonzero bounds run the elastic engine
+        // at the same seed through `latency_summary_batch`, which is NOT
+        // coupled to that leg: its Bernoulli jobs draw each completion
+        // inside the kernel, not one table per trial, so the two legs see
+        // different completion streams. On fir5 (p = 0.9/0.5, 500 trials,
+        // seed 7) the coupled DIST leg averages 5.254/6.114 cycles, while
+        // `latency_summary_batch` gives 5.256/6.106 for both DIST and
+        // ELASTIC at the zero spec: the gap is the stream, not the clocks.
+        // Coupling the legs would change every explore body with skew > 0.
         let mut cycles_by_skew = Vec::with_capacity(params.skew.len());
         for &s in &params.skew {
             if s == 0 {

@@ -43,8 +43,9 @@ pub const MAX_P_VALUES: usize = 16;
 pub const MAX_DFG_TEXT: usize = 64 * 1024;
 /// Upper bound on any one unit count (`muls`/`adds`/`subs`).
 pub const MAX_UNITS: usize = 64;
-/// Upper bound on the datapath width of an area estimate.
-pub const MAX_WIDTH: u64 = 128;
+/// Upper bound on the datapath width of an area estimate: the widest
+/// ripple-carry adder and subtractor `tauhls-datapath` builds.
+pub const MAX_WIDTH: u64 = 64;
 /// Upper bound on a per-class unit maximum in an explore sweep.
 pub const MAX_EXPLORE_UNITS: usize = 8;
 /// Upper bound on the elastic skew bound and handshake latency a job may
@@ -1565,6 +1566,7 @@ mod tests {
             ),
             (Endpoint::Synth, r#"{"trials":5}"#, "unknown field 'trials'"),
             (Endpoint::Area, r#"{"width":0}"#, "'width' must be in"),
+            (Endpoint::Area, r#"{"width":65}"#, "'width' must be in"),
             (Endpoint::Area, r#"{"width":129}"#, "'width' must be in"),
             (
                 Endpoint::Synth,

@@ -40,7 +40,7 @@ use crate::resilience::{
 };
 use crate::stages::{StageCache, StageRecord};
 use tauhls_json::Json;
-use tauhls_sim::{latency_quad_batch_indexed, BatchRunner, LatencySummary};
+use tauhls_sim::{latency_batch, BatchRunner, ControlStyleSet, LatencySummary};
 
 /// One contiguous slice of a job's partition axis.
 ///
@@ -174,18 +174,14 @@ pub fn run_part(
             let indexed: Vec<(u64, f64)> = (part.lo..part.hi)
                 .map(|i| (i as u64, s.p_values[i]))
                 .collect();
-            let (tau, dist, cent, elas) =
-                latency_quad_batch_indexed(&bound, &indexed, s.trials, s.seed, s.elastic, runner)
-                    .map_err(JobError::from_sim)?;
+            let all = ControlStyleSet::all();
+            let legs = latency_batch(&bound, all, &indexed, s.trials, s.seed, s.elastic, runner)
+                .map_err(JobError::from_sim)?;
+            let names = ["lt_tau", "lt_dist", "lt_cent", "lt_elas"];
             Ok((
                 coords((
                     "legs",
-                    Json::object([
-                        ("lt_tau", summary_partial(&tau)),
-                        ("lt_dist", summary_partial(&dist)),
-                        ("lt_cent", summary_partial(&cent)),
-                        ("lt_elas", summary_partial(&elas)),
-                    ]),
+                    Json::object(names.into_iter().zip(legs.iter().map(summary_partial))),
                 )),
                 Vec::new(),
             ))

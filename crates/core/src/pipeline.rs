@@ -8,14 +8,11 @@
 use std::sync::Arc;
 
 use crate::stages::{self, BindStrategy, ControlUnits, PipelineTrace, StageCache, SynthesisInput};
-use rand::Rng;
 use tauhls_dfg::Dfg;
 use tauhls_fsm::{synthesize, DistributedControlUnit, Encoding, Fsm, SynthesizedFsm};
 use tauhls_logic::AreaModel;
 use tauhls_sched::{Allocation, BoundDfg, UnitId};
-use tauhls_sim::{
-    latency_summary, latency_summary_batch, BatchRunner, ControlStyle, LatencySummary,
-};
+use tauhls_sim::{latency_summary_batch, BatchRunner, ControlStyle, LatencySummary};
 
 /// Timing parameters of the telescopic system (paper Table 2 footer:
 /// `SD(×) = 15 ns, LD(×) = 20 ns, FD(+,−) = 15 ns`).
@@ -251,18 +248,7 @@ impl Design {
     }
 
     /// Latency summary under a control style (cycles; multiply by
-    /// [`Timing::clock_ns`] for ns).
-    pub fn latency(
-        &self,
-        style: ControlStyle,
-        p_values: &[f64],
-        trials: usize,
-        rng: &mut impl Rng,
-    ) -> LatencySummary {
-        latency_summary(self.bound(), style, p_values, trials, rng).expect("fault-free simulation")
-    }
-
-    /// Like [`Design::latency`], but on the deterministic batch engine:
+    /// [`Timing::clock_ns`] for ns), on the deterministic batch engine:
     /// trials fan out over `runner`'s workers and the summary is
     /// bit-identical for any thread count.
     pub fn latency_batch(
@@ -281,8 +267,6 @@ impl Design {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
     use tauhls_dfg::benchmarks::{diffeq, fir3};
 
     #[test]
@@ -292,9 +276,6 @@ mod tests {
             .run()
             .unwrap();
         assert_eq!(design.distributed().controllers().len(), 4);
-        let mut rng = StdRng::seed_from_u64(1);
-        let lat = design.latency(ControlStyle::Distributed, &[0.9], 50, &mut rng);
-        assert_eq!(lat.best_cycles, 4);
         let batched = design.latency_batch(
             ControlStyle::Distributed,
             &[0.9],

@@ -9,7 +9,33 @@
 
 use tauhls_dfg::Dfg;
 use tauhls_sched::{Allocation, BoundDfg};
-use tauhls_sim::{derive_seed, latency_pair_batch, BatchRunner};
+use tauhls_sim::{derive_seed, latency_batch, BatchRunner, ControlStyleSet, ElasticSpec};
+
+/// The coupled `(sync, dist)` mean cycles of one design at each of `ps`.
+fn sync_and_dist(
+    bound: &BoundDfg,
+    ps: &[f64],
+    trials: usize,
+    seed: u64,
+    runner: &BatchRunner,
+) -> (Vec<f64>, Vec<f64>) {
+    let indexed: Vec<(u64, f64)> = (0..).zip(ps.iter().copied()).collect();
+    let styles = ControlStyleSet::TAU | ControlStyleSet::DIST;
+    let legs = latency_batch(
+        bound,
+        styles,
+        &indexed,
+        trials as u64,
+        seed,
+        ElasticSpec::zero(),
+        runner,
+    )
+    .expect("fault-free simulation");
+    (
+        legs[0].average_cycles.clone(),
+        legs[1].average_cycles.clone(),
+    )
+}
 
 /// One point of a latency-vs-`P` curve.
 #[derive(Clone, Debug)]
@@ -38,13 +64,11 @@ pub fn latency_curve(
 ) -> Vec<CurvePoint> {
     assert!(steps >= 2 && trials > 0);
     let ps: Vec<f64> = (0..steps).map(|i| i as f64 / (steps - 1) as f64).collect();
-    let (sync, dist) =
-        latency_pair_batch(bound, &ps, trials as u64, seed, runner).expect("fault-free simulation");
+    let (sync, dist) = sync_and_dist(bound, &ps, trials, seed, runner);
     ps.iter()
         .enumerate()
         .map(|(i, &p)| {
-            let s = sync.average_cycles[i];
-            let d = dist.average_cycles[i];
+            let (s, d) = (sync[i], dist[i]);
             CurvePoint {
                 p,
                 sync_cycles: s,
@@ -97,13 +121,11 @@ pub fn allocation_series(
         // Each allocation point gets its own seed-space partition, so the
         // series is independent of which points the coverage filter skips.
         let point_seed = derive_seed(seed, muls as u64, 0);
-        let (sync, dist) = latency_pair_batch(&bound, &[p], trials as u64, point_seed, runner)
-            .expect("fault-free simulation");
+        let (sync, dist) = sync_and_dist(&bound, &[p], trials, point_seed, runner);
         out.push(AllocationPoint {
             muls,
-            enhancement: (sync.average_cycles[0] - dist.average_cycles[0]) / sync.average_cycles[0]
-                * 100.0,
-            dist_cycles: dist.average_cycles[0],
+            enhancement: (sync[0] - dist[0]) / sync[0] * 100.0,
+            dist_cycles: dist[0],
             schedule_arcs: bound.schedule_arcs().len(),
         });
     }

@@ -1,11 +1,9 @@
 //! Deterministic parallel Monte-Carlo batch engine.
 //!
-//! The serial harnesses in [`crate::latency`] thread one RNG through every
-//! trial, so their output depends on trial *order* and cannot be
-//! parallelised without changing results. This module decouples trials
-//! instead: every trial owns an RNG seeded from
+//! Every trial owns an RNG seeded from
 //! `derive_seed(base_seed, job_id, trial_index)`, so the stream a trial
-//! sees is a pure function of its coordinates. Work is then fanned over
+//! sees is a pure function of its coordinates, never of the order trials
+//! run in. Work is then fanned over
 //! [`std::thread::scope`] workers pulling fixed-size chunks off an atomic
 //! queue, and per-chunk accumulators are folded **in chunk-index order**
 //! after the join. The combination makes results bit-identical for any
@@ -31,21 +29,16 @@
 //! assert_eq!(serial, parallel); // bit-identical, not just statistically close
 //! ```
 
-use crate::cent::{simulate_cent_with, CentControlUnit};
-use crate::centsync::simulate_cent_sync_with;
-use crate::distributed::simulate_distributed_with;
-use crate::elastic::{elastic_trial_skew_seed, simulate_elastic_saturated, simulate_elastic_with};
+use crate::elastic::elastic_trial_skew_seed;
 use crate::error::SimError;
 use crate::fault::SimConfig;
-use crate::kernel::ElasticSpec;
-use crate::latency::{ControlStyle, LatencySummary};
+use crate::latency::{ControlStyle, Engines, Leg};
 use crate::model::CompletionModel;
-use crate::sliced::{LaneConfigs, LaneModels, LaneOutcome, SlicedSim, LANES};
+use crate::sliced::{LaneConfigs, LaneModels, LaneOutcome, LANES};
 use rand::rngs::StdRng;
 use rand::{splitmix64_mix, SeedableRng};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
-use tauhls_fsm::DistributedControlUnit;
 use tauhls_sched::BoundDfg;
 
 /// A cooperative cancellation flag shared between a shutdown path and the
@@ -54,7 +47,7 @@ use tauhls_sched::BoundDfg;
 /// Attach a clone to a runner with [`BatchRunner::with_cancel`]; once some
 /// other thread calls [`CancelToken::cancel`], workers stop claiming new
 /// chunks at the next chunk boundary and the batch APIs
-/// ([`SimJob::run`], [`latency_triple_batch`], …) return
+/// ([`SimJob::run`], [`crate::latency_batch`], …) return
 /// [`SimError::Cancelled`] instead of partial statistics. This is the
 /// drain hook a long-running service uses on shutdown: in-flight chunks
 /// still finish (trials are never interrupted mid-simulation), but the
@@ -218,41 +211,14 @@ impl<A: Accumulator, B: Accumulator> Accumulator for (A, B) {
     }
 }
 
-impl<A: Accumulator, B: Accumulator, C: Accumulator> Accumulator for (A, B, C) {
+impl<A: Accumulator, const N: usize> Accumulator for [A; N] {
     fn empty() -> Self {
-        (A::empty(), B::empty(), C::empty())
+        std::array::from_fn(|_| A::empty())
     }
     fn fold(&mut self, other: Self) {
-        self.0.fold(other.0);
-        self.1.fold(other.1);
-        self.2.fold(other.2);
-    }
-}
-
-impl<A: Accumulator, B: Accumulator, C: Accumulator, D: Accumulator> Accumulator for (A, B, C, D) {
-    fn empty() -> Self {
-        (A::empty(), B::empty(), C::empty(), D::empty())
-    }
-    fn fold(&mut self, other: Self) {
-        self.0.fold(other.0);
-        self.1.fold(other.1);
-        self.2.fold(other.2);
-        self.3.fold(other.3);
-    }
-}
-
-impl<A: Accumulator, B: Accumulator, C: Accumulator, D: Accumulator, E: Accumulator> Accumulator
-    for (A, B, C, D, E)
-{
-    fn empty() -> Self {
-        (A::empty(), B::empty(), C::empty(), D::empty(), E::empty())
-    }
-    fn fold(&mut self, other: Self) {
-        self.0.fold(other.0);
-        self.1.fold(other.1);
-        self.2.fold(other.2);
-        self.3.fold(other.3);
-        self.4.fold(other.4);
+        for (acc, part) in self.iter_mut().zip(other) {
+            acc.fold(part);
+        }
     }
 }
 
@@ -571,97 +537,42 @@ impl<'a> SimJob<'a> {
         runner: &BatchRunner,
         sliced: bool,
     ) -> Result<CycleStats, SimError> {
-        enum JobEngine {
-            Dist(DistributedControlUnit),
-            Cent(CentControlUnit),
-            Sync,
-            Elastic(DistributedControlUnit, ElasticSpec),
-        }
-        let engine = match self.style {
-            ControlStyle::Distributed => {
-                JobEngine::Dist(DistributedControlUnit::generate(self.bound))
-            }
-            ControlStyle::Cent => JobEngine::Cent(CentControlUnit::without_product(self.bound)),
-            ControlStyle::CentSync => JobEngine::Sync,
-            ControlStyle::Elastic(spec) => {
-                JobEngine::Elastic(DistributedControlUnit::generate(self.bound), spec)
-            }
-        };
+        let (leg, spec) = Leg::of(self.style);
+        let engines = Engines::new(self.bound, spec);
         let default_config = SimConfig::default();
         let config = self.config.unwrap_or(&default_config);
+        let skew_seed = |trial| elastic_trial_skew_seed(base_seed, self.job_id, trial);
         let scalar_trial = |trial: u64| {
             let mut rng = trial_rng(base_seed, self.job_id, trial);
-            match &engine {
-                JobEngine::Dist(cu) => {
-                    simulate_distributed_with(self.bound, cu, self.model, None, &mut rng, config)
-                }
-                JobEngine::Cent(cu) => {
-                    simulate_cent_with(self.bound, cu, self.model, None, &mut rng, config)
-                }
-                JobEngine::Sync => {
-                    simulate_cent_sync_with(self.bound, self.model, None, &mut rng, config)
-                }
-                JobEngine::Elastic(cu, spec) => simulate_elastic_with(
-                    self.bound,
-                    cu,
-                    self.model,
-                    None,
-                    &mut rng,
-                    config,
-                    *spec,
-                    elastic_trial_skew_seed(base_seed, self.job_id, trial),
-                ),
-            }
+            engines.scalar(leg, self.model, &mut rng, config, skew_seed(trial))
         };
         let (stats, errors): (CycleStats, FirstError) = if sliced {
             runner.run_chunked(
                 self.trials,
-                || {
-                    let sim = match &engine {
-                        JobEngine::Dist(cu) | JobEngine::Elastic(cu, _) => {
-                            SlicedSim::distributed(self.bound, cu, None)
-                        }
-                        // CENT is the product-free wrapper around the same
-                        // controller bank, so its sliced run is the DIST
-                        // run over `components()`.
-                        JobEngine::Cent(cu) => {
-                            SlicedSim::distributed(self.bound, cu.components(), None)
-                        }
-                        JobEngine::Sync => SlicedSim::cent_sync(self.bound, None),
-                    };
-                    (sim, Vec::<StdRng>::new(), Vec::<u64>::new())
-                },
+                || (engines.sliced(leg), Vec::<StdRng>::new(), Vec::<u64>::new()),
                 |(sim, rngs, skews), range, (acc, errors): &mut (CycleStats, FirstError)| {
                     let mut start = range.start;
                     while start < range.end {
                         let end = (start + LANES as u64).min(range.end);
                         rngs.clear();
-                        for trial in start..end {
-                            rngs.push(trial_rng(base_seed, self.job_id, trial));
-                        }
+                        rngs.extend((start..end).map(|t| trial_rng(base_seed, self.job_id, t)));
                         let models = LaneModels::Shared(self.model);
                         let cfgs = LaneConfigs::Shared(config);
-                        let out = match &engine {
-                            JobEngine::Elastic(_, spec) => {
-                                skews.clear();
-                                for trial in start..end {
-                                    skews.push(elastic_trial_skew_seed(
-                                        base_seed,
-                                        self.job_id,
-                                        trial,
-                                    ));
-                                }
-                                sim.run_elastic(*spec, skews, &models, &cfgs, rngs)
-                            }
-                            _ => sim.run(&models, &cfgs, rngs),
+                        let out = if leg == Leg::Elastic {
+                            skews.clear();
+                            skews.extend((start..end).map(skew_seed));
+                            sim.run_elastic(spec, skews, &models, &cfgs, rngs)
+                        } else {
+                            sim.run(&models, &cfgs, rngs)
                         };
-                        for (lane, outcome) in out.iter().enumerate() {
-                            match outcome {
-                                LaneOutcome::Done(r) => acc.record(r.cycles),
-                                LaneOutcome::Fallback => match scalar_trial(start + lane as u64) {
-                                    Ok(r) => acc.record(r.cycles),
-                                    Err(e) => errors.record(start + lane as u64, e),
-                                },
+                        for (trial, outcome) in (start..end).zip(&out) {
+                            let cycles = match outcome {
+                                LaneOutcome::Done(r) => Ok(r.cycles),
+                                LaneOutcome::Fallback => scalar_trial(trial),
+                            };
+                            match cycles {
+                                Ok(c) => acc.record(c),
+                                Err(e) => errors.record(trial, e),
                             }
                         }
                         start = end;
@@ -672,7 +583,7 @@ impl<'a> SimJob<'a> {
             runner.run(
                 self.trials,
                 |trial, (acc, errors): &mut (CycleStats, FirstError)| match scalar_trial(trial) {
-                    Ok(r) => acc.record(r.cycles),
+                    Ok(c) => acc.record(c),
                     Err(e) => errors.record(trial, e),
                 },
             )
@@ -683,616 +594,11 @@ impl<'a> SimJob<'a> {
     }
 }
 
-/// Parallel counterpart of [`crate::latency_summary`]: best/worst from the
-/// deterministic extremes, averages from batched Bernoulli jobs (one
-/// `job_id` per swept `P`).
-///
-/// Returns [`SimError::InvalidConfig`] when `trials == 0`.
-pub fn latency_summary_batch(
-    bound: &BoundDfg,
-    style: ControlStyle,
-    p_values: &[f64],
-    trials: u64,
-    base_seed: u64,
-    runner: &BatchRunner,
-) -> Result<LatencySummary, SimError> {
-    if trials == 0 {
-        return Err(SimError::InvalidConfig(
-            "latency summary needs trials >= 1".to_string(),
-        ));
-    }
-    // The elastic envelope pins the schedule-space extremes (stall-free
-    // floor / saturated ceiling) so it brackets the seeded averages; the
-    // synchronous styles take the completion-model extremes as before.
-    let (best_cycles, worst_cycles) = if let ControlStyle::Elastic(spec) = style {
-        let cu = DistributedControlUnit::generate(bound);
-        let fault_free = SimConfig::default();
-        let floor = ElasticSpec {
-            skew_bound: 0,
-            ..spec
-        };
-        let mut rng = trial_rng(base_seed, u64::MAX, 0);
-        (
-            simulate_elastic_with(
-                bound,
-                &cu,
-                &CompletionModel::AlwaysShort,
-                None,
-                &mut rng,
-                &fault_free,
-                floor,
-                0,
-            )?
-            .cycles,
-            simulate_elastic_saturated(
-                bound,
-                &cu,
-                &CompletionModel::AlwaysLong,
-                None,
-                &mut rng,
-                &fault_free,
-                spec,
-            )?
-            .cycles,
-        )
-    } else {
-        let serial = BatchRunner::serial();
-        let best =
-            SimJob::new(bound, style, &CompletionModel::AlwaysShort).run(base_seed, &serial)?;
-        let worst =
-            SimJob::new(bound, style, &CompletionModel::AlwaysLong).run(base_seed, &serial)?;
-        (best.min, worst.max)
-    };
-    let mut average_cycles = Vec::with_capacity(p_values.len());
-    for (idx, &p) in p_values.iter().enumerate() {
-        let model = CompletionModel::Bernoulli { p };
-        let stats = SimJob::new(bound, style, &model)
-            .trials(trials)
-            .job_id(idx as u64)
-            .run(base_seed, runner)?;
-        average_cycles.push(stats.mean());
-    }
-    Ok(LatencySummary {
-        best_cycles,
-        average_cycles,
-        worst_cycles,
-        p_values: p_values.to_vec(),
-    })
-}
-
-/// Parallel counterpart of [`crate::latency_pair`]: per trial, one
-/// completion table is drawn and fed to **both** control styles, so the
-/// comparison stays coupled (distributed dominates per-trial); the trials
-/// themselves fan out over `runner`'s workers.
-///
-/// Returns `(sync, dist)`, or [`SimError::InvalidConfig`] when
-/// `trials == 0`.
-pub fn latency_pair_batch(
-    bound: &BoundDfg,
-    p_values: &[f64],
-    trials: u64,
-    base_seed: u64,
-    runner: &BatchRunner,
-) -> Result<(LatencySummary, LatencySummary), SimError> {
-    if trials == 0 {
-        return Err(SimError::InvalidConfig(
-            "latency pair needs trials >= 1".to_string(),
-        ));
-    }
-    let fault_free = SimConfig::default();
-    let cu = DistributedControlUnit::generate(bound);
-    let num_ops = bound.dfg().num_ops();
-    let mut rng = trial_rng(base_seed, u64::MAX, 0);
-    let measure = |model: &CompletionModel, rng: &mut StdRng| -> Result<(usize, usize), SimError> {
-        Ok((
-            simulate_cent_sync_with(bound, model, None, rng, &fault_free)?.cycles,
-            simulate_distributed_with(bound, &cu, model, None, rng, &fault_free)?.cycles,
-        ))
-    };
-    let (sync_best, dist_best) = measure(&CompletionModel::AlwaysShort, &mut rng)?;
-    let (sync_worst, dist_worst) = measure(&CompletionModel::AlwaysLong, &mut rng)?;
-    let mut sync_avg = Vec::with_capacity(p_values.len());
-    let mut dist_avg = Vec::with_capacity(p_values.len());
-    for (idx, &p) in p_values.iter().enumerate() {
-        let (sync, dist, errors): (CycleStats, CycleStats, FirstError) = runner.run_chunked(
-            trials,
-            || {
-                (
-                    SlicedSim::cent_sync(bound, None),
-                    SlicedSim::distributed(bound, &cu, None),
-                    Vec::<StdRng>::new(),
-                    Vec::<CompletionModel>::new(),
-                )
-            },
-            |(sync_sim, dist_sim, rngs, tables),
-             range,
-             (sync, dist, errors): &mut (CycleStats, CycleStats, FirstError)| {
-                let mut start = range.start;
-                while start < range.end {
-                    let end = (start + LANES as u64).min(range.end);
-                    rngs.clear();
-                    tables.clear();
-                    // Draw each lane's table from its own trial RNG first,
-                    // consuming exactly what the scalar path consumes; the
-                    // table models are RNG-neutral afterwards.
-                    for trial in start..end {
-                        let mut rng = trial_rng(base_seed, idx as u64, trial);
-                        tables.push(CompletionModel::draw_table(num_ops, p, &mut rng));
-                        rngs.push(rng);
-                    }
-                    let models = LaneModels::PerLane(&tables[..]);
-                    let cfgs = LaneConfigs::Shared(&fault_free);
-                    let sync_out = sync_sim.run(&models, &cfgs, rngs);
-                    let dist_out = dist_sim.run(&models, &cfgs, rngs);
-                    for (lane, (so, do_)) in sync_out.iter().zip(dist_out.iter()).enumerate() {
-                        let trial = start + lane as u64;
-                        match (so, do_) {
-                            (LaneOutcome::Done(s), LaneOutcome::Done(d)) => {
-                                let (s, d) = (s.cycles, d.cycles);
-                                debug_assert!(
-                                    d <= s,
-                                    "distributed lost a coupled trial: {d} > {s}"
-                                );
-                                sync.record(s);
-                                dist.record(d);
-                            }
-                            _ => {
-                                // Any declined lane gets a full scalar
-                                // re-measure from a fresh trial RNG.
-                                let mut rng = trial_rng(base_seed, idx as u64, trial);
-                                let table = CompletionModel::draw_table(num_ops, p, &mut rng);
-                                match measure(&table, &mut rng) {
-                                    Ok((s, d)) => {
-                                        debug_assert!(
-                                            d <= s,
-                                            "distributed lost a coupled trial: {d} > {s}"
-                                        );
-                                        sync.record(s);
-                                        dist.record(d);
-                                    }
-                                    Err(e) => errors.record(trial, e),
-                                }
-                            }
-                        }
-                    }
-                    start = end;
-                }
-            },
-        );
-        runner.check_cancelled()?;
-        errors.into_result()?;
-        sync_avg.push(sync.mean());
-        dist_avg.push(dist.mean());
-    }
-    Ok((
-        LatencySummary {
-            best_cycles: sync_best,
-            average_cycles: sync_avg,
-            worst_cycles: sync_worst,
-            p_values: p_values.to_vec(),
-        },
-        LatencySummary {
-            best_cycles: dist_best,
-            average_cycles: dist_avg,
-            worst_cycles: dist_worst,
-            p_values: p_values.to_vec(),
-        },
-    ))
-}
-
-/// Parallel counterpart of [`crate::latency_triple`]: per trial, one
-/// completion table is drawn and fed to **all three** control styles. The
-/// table models are RNG-neutral, so the sync and dist legs reproduce
-/// [`latency_pair_batch`] bit for bit under the same seeds; the CENT leg's
-/// per-trial equality with DIST (bisimulation) is debug-asserted.
-///
-/// Returns `(sync, dist, cent)`, or [`SimError::InvalidConfig`] when
-/// `trials == 0`.
-pub fn latency_triple_batch(
-    bound: &BoundDfg,
-    p_values: &[f64],
-    trials: u64,
-    base_seed: u64,
-    runner: &BatchRunner,
-) -> Result<(LatencySummary, LatencySummary, LatencySummary), SimError> {
-    let indexed: Vec<(u64, f64)> = p_values
-        .iter()
-        .enumerate()
-        .map(|(idx, &p)| (idx as u64, p))
-        .collect();
-    latency_triple_batch_indexed(bound, &indexed, trials, base_seed, runner)
-}
-
-/// [`latency_triple_batch`] over an explicit `(job_id, p)` list.
-///
-/// Each swept `P` seeds its trials from the *supplied* `job_id` rather
-/// than its position in the slice, so a contiguous sub-range of a larger
-/// sweep — run with the original global indices — reproduces exactly the
-/// per-`P` averages the full sweep would produce. This is the primitive a
-/// distributed coordinator partitions on: merging per-partition
-/// `average_cycles`/`p_values` in partition order reassembles the
-/// single-node summary bit for bit (best/worst legs are deterministic
-/// extremes, identical in every partition).
-///
-/// Returns [`SimError::InvalidConfig`] when `trials == 0`.
-pub fn latency_triple_batch_indexed(
-    bound: &BoundDfg,
-    indexed_p: &[(u64, f64)],
-    trials: u64,
-    base_seed: u64,
-    runner: &BatchRunner,
-) -> Result<(LatencySummary, LatencySummary, LatencySummary), SimError> {
-    if trials == 0 {
-        return Err(SimError::InvalidConfig(
-            "latency triple needs trials >= 1".to_string(),
-        ));
-    }
-    let fault_free = SimConfig::default();
-    let cu = DistributedControlUnit::generate(bound);
-    let cent_cu = CentControlUnit::without_product(bound);
-    let num_ops = bound.dfg().num_ops();
-    let mut rng = trial_rng(base_seed, u64::MAX, 0);
-    let measure =
-        |model: &CompletionModel, rng: &mut StdRng| -> Result<(usize, usize, usize), SimError> {
-            Ok((
-                simulate_cent_sync_with(bound, model, None, rng, &fault_free)?.cycles,
-                simulate_distributed_with(bound, &cu, model, None, rng, &fault_free)?.cycles,
-                simulate_cent_with(bound, &cent_cu, model, None, rng, &fault_free)?.cycles,
-            ))
-        };
-    let (sync_best, dist_best, cent_best) = measure(&CompletionModel::AlwaysShort, &mut rng)?;
-    let (sync_worst, dist_worst, cent_worst) = measure(&CompletionModel::AlwaysLong, &mut rng)?;
-    let mut sync_avg = Vec::with_capacity(indexed_p.len());
-    let mut dist_avg = Vec::with_capacity(indexed_p.len());
-    let mut cent_avg = Vec::with_capacity(indexed_p.len());
-    for &(idx, p) in indexed_p {
-        let (sync, dist, cent, errors): (CycleStats, CycleStats, CycleStats, FirstError) =
-            runner.run_chunked(
-                trials,
-                || {
-                    // CENT shares DIST's controller bank (`components()`),
-                    // so one sliced DIST run serves both legs; the scalar
-                    // re-measure path keeps the per-trial debug assert.
-                    (
-                        SlicedSim::cent_sync(bound, None),
-                        SlicedSim::distributed(bound, &cu, None),
-                        Vec::<StdRng>::new(),
-                        Vec::<CompletionModel>::new(),
-                    )
-                },
-                |(sync_sim, dist_sim, rngs, tables),
-                 range,
-                 (sync, dist, cent, errors): &mut (
-                    CycleStats,
-                    CycleStats,
-                    CycleStats,
-                    FirstError,
-                )| {
-                    let mut start = range.start;
-                    while start < range.end {
-                        let end = (start + LANES as u64).min(range.end);
-                        rngs.clear();
-                        tables.clear();
-                        for trial in start..end {
-                            let mut rng = trial_rng(base_seed, idx, trial);
-                            tables.push(CompletionModel::draw_table(num_ops, p, &mut rng));
-                            rngs.push(rng);
-                        }
-                        let models = LaneModels::PerLane(&tables[..]);
-                        let cfgs = LaneConfigs::Shared(&fault_free);
-                        let sync_out = sync_sim.run(&models, &cfgs, rngs);
-                        let dist_out = dist_sim.run(&models, &cfgs, rngs);
-                        for (lane, (so, do_)) in sync_out.iter().zip(dist_out.iter()).enumerate() {
-                            let trial = start + lane as u64;
-                            match (so, do_) {
-                                (LaneOutcome::Done(s), LaneOutcome::Done(d)) => {
-                                    let (s, d) = (s.cycles, d.cycles);
-                                    debug_assert!(
-                                        d <= s,
-                                        "distributed lost a coupled trial: {d} > {s}"
-                                    );
-                                    sync.record(s);
-                                    dist.record(d);
-                                    cent.record(d);
-                                }
-                                _ => {
-                                    let mut rng = trial_rng(base_seed, idx, trial);
-                                    let table = CompletionModel::draw_table(num_ops, p, &mut rng);
-                                    match measure(&table, &mut rng) {
-                                        Ok((s, d, c)) => {
-                                            debug_assert!(
-                                                d <= s,
-                                                "distributed lost a coupled trial: {d} > {s}"
-                                            );
-                                            debug_assert_eq!(
-                                                c, d,
-                                                "CENT diverged from DIST on a coupled trial"
-                                            );
-                                            sync.record(s);
-                                            dist.record(d);
-                                            cent.record(c);
-                                        }
-                                        Err(e) => errors.record(trial, e),
-                                    }
-                                }
-                            }
-                        }
-                        start = end;
-                    }
-                },
-            );
-        runner.check_cancelled()?;
-        errors.into_result()?;
-        sync_avg.push(sync.mean());
-        dist_avg.push(dist.mean());
-        cent_avg.push(cent.mean());
-    }
-    let summary = |best, avg: Vec<f64>, worst| LatencySummary {
-        best_cycles: best,
-        average_cycles: avg,
-        worst_cycles: worst,
-        p_values: indexed_p.iter().map(|&(_, p)| p).collect(),
-    };
-    Ok((
-        summary(sync_best, sync_avg, sync_worst),
-        summary(dist_best, dist_avg, dist_worst),
-        summary(cent_best, cent_avg, cent_worst),
-    ))
-}
-
-/// Parallel counterpart of [`crate::latency_quad`]: per trial, one
-/// completion table is drawn and fed to **all four** control styles. The
-/// elastic leg's skew schedule comes from the salted
-/// [`elastic_trial_skew_seed`] stream — never from the trial RNG — so the
-/// sync/dist/cent legs reproduce [`latency_triple_batch`] bit for bit
-/// under the same seeds.
-///
-/// Returns `(sync, dist, cent, elastic)`, or
-/// [`SimError::InvalidConfig`] when `trials == 0`.
-pub fn latency_quad_batch(
-    bound: &BoundDfg,
-    p_values: &[f64],
-    trials: u64,
-    base_seed: u64,
-    spec: ElasticSpec,
-    runner: &BatchRunner,
-) -> Result<
-    (
-        LatencySummary,
-        LatencySummary,
-        LatencySummary,
-        LatencySummary,
-    ),
-    SimError,
-> {
-    let indexed: Vec<(u64, f64)> = p_values
-        .iter()
-        .enumerate()
-        .map(|(idx, &p)| (idx as u64, p))
-        .collect();
-    latency_quad_batch_indexed(bound, &indexed, trials, base_seed, spec, runner)
-}
-
-/// [`latency_quad_batch`] over an explicit `(job_id, p)` list — the
-/// partitionable primitive, like [`latency_triple_batch_indexed`]: a
-/// contiguous sub-range run with its original global indices reproduces
-/// the full sweep's per-`P` averages exactly, elastic leg included
-/// (its skew seeds derive from the supplied `job_id`, not the slice
-/// position).
-///
-/// Returns [`SimError::InvalidConfig`] when `trials == 0`.
-pub fn latency_quad_batch_indexed(
-    bound: &BoundDfg,
-    indexed_p: &[(u64, f64)],
-    trials: u64,
-    base_seed: u64,
-    spec: ElasticSpec,
-    runner: &BatchRunner,
-) -> Result<
-    (
-        LatencySummary,
-        LatencySummary,
-        LatencySummary,
-        LatencySummary,
-    ),
-    SimError,
-> {
-    if trials == 0 {
-        return Err(SimError::InvalidConfig(
-            "latency quad needs trials >= 1".to_string(),
-        ));
-    }
-    let fault_free = SimConfig::default();
-    let cu = DistributedControlUnit::generate(bound);
-    let cent_cu = CentControlUnit::without_product(bound);
-    let num_ops = bound.dfg().num_ops();
-    let mut rng = trial_rng(base_seed, u64::MAX, 0);
-    let measure = |model: &CompletionModel,
-                   rng: &mut StdRng,
-                   trial_skew: u64|
-     -> Result<(usize, usize, usize, usize), SimError> {
-        Ok((
-            simulate_cent_sync_with(bound, model, None, rng, &fault_free)?.cycles,
-            simulate_distributed_with(bound, &cu, model, None, rng, &fault_free)?.cycles,
-            simulate_cent_with(bound, &cent_cu, model, None, rng, &fault_free)?.cycles,
-            simulate_elastic_with(bound, &cu, model, None, rng, &fault_free, spec, trial_skew)?
-                .cycles,
-        ))
-    };
-    // Deterministic-extreme legs. The elastic cells pin the
-    // schedule-space extremes — stall-free floor for best, saturated
-    // ceiling for worst — so the envelope brackets the seeded averages
-    // and stays invariant under partitioning. Deterministic models draw
-    // nothing from `rng`, so the discarded elastic legs of the two
-    // `measure` calls leave the stream untouched.
-    let floor = ElasticSpec {
-        skew_bound: 0,
-        ..spec
-    };
-    let (sync_best, dist_best, cent_best, _) = measure(&CompletionModel::AlwaysShort, &mut rng, 0)?;
-    let elas_best = simulate_elastic_with(
-        bound,
-        &cu,
-        &CompletionModel::AlwaysShort,
-        None,
-        &mut rng,
-        &fault_free,
-        floor,
-        0,
-    )?
-    .cycles;
-    let (sync_worst, dist_worst, cent_worst, _) =
-        measure(&CompletionModel::AlwaysLong, &mut rng, 0)?;
-    let elas_worst = simulate_elastic_saturated(
-        bound,
-        &cu,
-        &CompletionModel::AlwaysLong,
-        None,
-        &mut rng,
-        &fault_free,
-        spec,
-    )?
-    .cycles;
-    let mut sync_avg = Vec::with_capacity(indexed_p.len());
-    let mut dist_avg = Vec::with_capacity(indexed_p.len());
-    let mut cent_avg = Vec::with_capacity(indexed_p.len());
-    let mut elas_avg = Vec::with_capacity(indexed_p.len());
-    for &(idx, p) in indexed_p {
-        type QuadAcc = (CycleStats, CycleStats, CycleStats, CycleStats, FirstError);
-        let (sync, dist, cent, elas, errors): QuadAcc = runner.run_chunked(
-            trials,
-            || {
-                (
-                    SlicedSim::cent_sync(bound, None),
-                    SlicedSim::distributed(bound, &cu, None),
-                    Vec::<StdRng>::new(),
-                    Vec::<CompletionModel>::new(),
-                    Vec::<u64>::new(),
-                )
-            },
-            |(sync_sim, dist_sim, rngs, tables, skews), range, acc: &mut QuadAcc| {
-                let (sync, dist, cent, elas, errors) = acc;
-                let mut start = range.start;
-                while start < range.end {
-                    let end = (start + LANES as u64).min(range.end);
-                    rngs.clear();
-                    tables.clear();
-                    skews.clear();
-                    for trial in start..end {
-                        let mut rng = trial_rng(base_seed, idx, trial);
-                        tables.push(CompletionModel::draw_table(num_ops, p, &mut rng));
-                        rngs.push(rng);
-                        skews.push(elastic_trial_skew_seed(base_seed, idx, trial));
-                    }
-                    let models = LaneModels::PerLane(&tables[..]);
-                    let cfgs = LaneConfigs::Shared(&fault_free);
-                    let sync_out = sync_sim.run(&models, &cfgs, rngs);
-                    let dist_out = dist_sim.run(&models, &cfgs, rngs);
-                    let elas_out = dist_sim.run_elastic(spec, skews, &models, &cfgs, rngs);
-                    for (lane, (so, do_)) in sync_out.iter().zip(dist_out.iter()).enumerate() {
-                        let trial = start + lane as u64;
-                        let d_cycles = match (so, do_) {
-                            (LaneOutcome::Done(s), LaneOutcome::Done(d)) => {
-                                let (s, d) = (s.cycles, d.cycles);
-                                debug_assert!(
-                                    d <= s,
-                                    "distributed lost a coupled trial: {d} > {s}"
-                                );
-                                sync.record(s);
-                                dist.record(d);
-                                cent.record(d);
-                                Some(d)
-                            }
-                            _ => {
-                                let mut rng = trial_rng(base_seed, idx, trial);
-                                let table = CompletionModel::draw_table(num_ops, p, &mut rng);
-                                let skew = elastic_trial_skew_seed(base_seed, idx, trial);
-                                match measure(&table, &mut rng, skew) {
-                                    Ok((s, d, c, e)) => {
-                                        debug_assert!(
-                                            d <= s,
-                                            "distributed lost a coupled trial: {d} > {s}"
-                                        );
-                                        debug_assert_eq!(
-                                            c, d,
-                                            "CENT diverged from DIST on a coupled trial"
-                                        );
-                                        sync.record(s);
-                                        dist.record(d);
-                                        cent.record(c);
-                                        elas.record(e);
-                                    }
-                                    Err(er) => errors.record(trial, er),
-                                }
-                                // Elastic already handled on this path.
-                                None
-                            }
-                        };
-                        if let Some(d) = d_cycles {
-                            match &elas_out[lane] {
-                                LaneOutcome::Done(e) => {
-                                    debug_assert!(
-                                        d <= e.cycles,
-                                        "elastic beat dist on a coupled trial"
-                                    );
-                                    elas.record(e.cycles);
-                                }
-                                LaneOutcome::Fallback => {
-                                    let mut rng = trial_rng(base_seed, idx, trial);
-                                    let table = CompletionModel::draw_table(num_ops, p, &mut rng);
-                                    let skew = elastic_trial_skew_seed(base_seed, idx, trial);
-                                    match simulate_elastic_with(
-                                        bound,
-                                        &cu,
-                                        &table,
-                                        None,
-                                        &mut rng,
-                                        &fault_free,
-                                        spec,
-                                        skew,
-                                    ) {
-                                        Ok(e) => {
-                                            debug_assert!(
-                                                d <= e.cycles,
-                                                "elastic beat dist on a coupled trial"
-                                            );
-                                            elas.record(e.cycles);
-                                        }
-                                        Err(er) => errors.record(trial, er),
-                                    }
-                                }
-                            }
-                        }
-                    }
-                    start = end;
-                }
-            },
-        );
-        runner.check_cancelled()?;
-        errors.into_result()?;
-        sync_avg.push(sync.mean());
-        dist_avg.push(dist.mean());
-        cent_avg.push(cent.mean());
-        elas_avg.push(elas.mean());
-    }
-    let summary = |best, avg: Vec<f64>, worst| LatencySummary {
-        best_cycles: best,
-        average_cycles: avg,
-        worst_cycles: worst,
-        p_values: indexed_p.iter().map(|&(_, p)| p).collect(),
-    };
-    Ok((
-        summary(sync_best, sync_avg, sync_worst),
-        summary(dist_best, dist_avg, dist_worst),
-        summary(cent_best, cent_avg, cent_worst),
-        summary(elas_best, elas_avg, elas_worst),
-    ))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tauhls_dfg::benchmarks::{fir3, fir5};
+    use crate::kernel::ElasticSpec;
+    use tauhls_dfg::benchmarks::fir5;
     use tauhls_sched::Allocation;
 
     fn fir5_bound() -> BoundDfg {
@@ -1311,24 +617,6 @@ mod tests {
         seeds.sort_unstable();
         seeds.dedup();
         assert_eq!(seeds.len(), 10_000);
-    }
-
-    #[test]
-    fn indexed_triple_reproduces_contiguous_sub_sweeps() {
-        let bound = BoundDfg::bind(&fir3(), &Allocation::paper(1, 1, 0));
-        let ps = [0.1, 0.35, 0.5, 0.75, 0.9];
-        let runner = BatchRunner::new(2);
-        let (sync, dist, cent) = latency_triple_batch(&bound, &ps, 40, 9, &runner).unwrap();
-        for (lo, hi) in [(0usize, 2usize), (2, 5), (1, 4), (0, 5)] {
-            let indexed: Vec<(u64, f64)> = (lo..hi).map(|i| (i as u64, ps[i])).collect();
-            let (s, d, c) = latency_triple_batch_indexed(&bound, &indexed, 40, 9, &runner).unwrap();
-            assert_eq!(s.best_cycles, sync.best_cycles);
-            assert_eq!(s.worst_cycles, sync.worst_cycles);
-            assert_eq!(s.average_cycles, sync.average_cycles[lo..hi].to_vec());
-            assert_eq!(d.average_cycles, dist.average_cycles[lo..hi].to_vec());
-            assert_eq!(c.average_cycles, cent.average_cycles[lo..hi].to_vec());
-            assert_eq!(s.p_values, ps[lo..hi].to_vec());
-        }
     }
 
     #[test]
@@ -1394,90 +682,6 @@ mod tests {
     }
 
     #[test]
-    fn pair_batch_matches_serial_oracle_and_dominates() {
-        let bound = fir5_bound();
-        let ps = [0.9, 0.5];
-        let serial = latency_pair_batch(&bound, &ps, 400, 5, &BatchRunner::serial()).unwrap();
-        let parallel = latency_pair_batch(&bound, &ps, 400, 5, &BatchRunner::new(8)).unwrap();
-        assert_eq!(serial, parallel);
-        let (sync, dist) = parallel;
-        for (s, d) in sync.average_cycles.iter().zip(&dist.average_cycles) {
-            assert!(d <= s);
-        }
-        assert!(dist.worst_cycles <= sync.worst_cycles);
-    }
-
-    #[test]
-    fn triple_batch_reproduces_pair_and_cent_matches_dist() {
-        let bound = fir5_bound();
-        let ps = [0.9, 0.5];
-        let (pair_sync, pair_dist) =
-            latency_pair_batch(&bound, &ps, 400, 5, &BatchRunner::serial()).unwrap();
-        let serial = latency_triple_batch(&bound, &ps, 400, 5, &BatchRunner::serial()).unwrap();
-        let parallel = latency_triple_batch(&bound, &ps, 400, 5, &BatchRunner::new(8)).unwrap();
-        assert_eq!(serial, parallel);
-        let (sync, dist, cent) = parallel;
-        // The extra CENT leg must not perturb the established pair.
-        assert_eq!(sync, pair_sync);
-        assert_eq!(dist, pair_dist);
-        // And CENT is cycle-identical to DIST, trial for trial.
-        assert_eq!(cent, dist);
-    }
-
-    #[test]
-    fn quad_batch_reproduces_triple_and_is_thread_invariant() {
-        let bound = fir5_bound();
-        let ps = [0.9, 0.5];
-        let spec = ElasticSpec::default();
-        let (tri_sync, tri_dist, tri_cent) =
-            latency_triple_batch(&bound, &ps, 400, 5, &BatchRunner::serial()).unwrap();
-        let serial = latency_quad_batch(&bound, &ps, 400, 5, spec, &BatchRunner::serial()).unwrap();
-        let parallel = latency_quad_batch(&bound, &ps, 400, 5, spec, &BatchRunner::new(8)).unwrap();
-        assert_eq!(serial, parallel);
-        let (sync, dist, cent, elas) = parallel;
-        // The extra ELASTIC leg must not perturb the established triple.
-        assert_eq!(sync, tri_sync);
-        assert_eq!(dist, tri_dist);
-        assert_eq!(cent, tri_cent);
-        // Elastic clocking only costs cycles.
-        for (d, e) in dist.average_cycles.iter().zip(&elas.average_cycles) {
-            assert!(d <= e, "elastic avg {e} < dist avg {d}");
-        }
-    }
-
-    #[test]
-    fn quad_batch_zero_spec_collapses_elastic_onto_dist() {
-        let bound = fir5_bound();
-        let (_, dist, _, elas) = latency_quad_batch(
-            &bound,
-            &[0.9, 0.5],
-            300,
-            7,
-            ElasticSpec::zero(),
-            &BatchRunner::new(4),
-        )
-        .unwrap();
-        assert_eq!(dist, elas);
-    }
-
-    #[test]
-    fn indexed_quad_reproduces_contiguous_sub_sweeps() {
-        let bound = BoundDfg::bind(&fir3(), &Allocation::paper(1, 1, 0));
-        let ps = [0.1, 0.5, 0.9];
-        let spec = ElasticSpec::default();
-        let runner = BatchRunner::new(2);
-        let (_, _, _, elas) = latency_quad_batch(&bound, &ps, 40, 9, spec, &runner).unwrap();
-        for (lo, hi) in [(0usize, 2usize), (1, 3)] {
-            let indexed: Vec<(u64, f64)> = (lo..hi).map(|i| (i as u64, ps[i])).collect();
-            let (_, _, _, e) =
-                latency_quad_batch_indexed(&bound, &indexed, 40, 9, spec, &runner).unwrap();
-            assert_eq!(e.average_cycles, elas.average_cycles[lo..hi].to_vec());
-            assert_eq!(e.best_cycles, elas.best_cycles);
-            assert_eq!(e.worst_cycles, elas.worst_cycles);
-        }
-    }
-
-    #[test]
     fn elastic_job_is_thread_and_engine_invariant() {
         let bound = fir5_bound();
         let model = CompletionModel::Bernoulli { p: 0.5 };
@@ -1511,24 +715,6 @@ mod tests {
     }
 
     #[test]
-    fn summary_batch_brackets_extremes() {
-        let bound = BoundDfg::bind(&fir3(), &Allocation::paper(1, 1, 0));
-        let s = latency_summary_batch(
-            &bound,
-            ControlStyle::Distributed,
-            &[0.9, 0.5, 0.1],
-            500,
-            3,
-            &BatchRunner::new(2),
-        )
-        .unwrap();
-        assert!(s.best_cycles as f64 <= s.average_cycles[0]);
-        assert!(s.average_cycles[0] <= s.average_cycles[1]);
-        assert!(s.average_cycles[1] <= s.average_cycles[2]);
-        assert!(s.average_cycles[2] <= s.worst_cycles as f64);
-    }
-
-    #[test]
     fn zero_trials_yield_empty_accumulator() {
         let runner = BatchRunner::new(4);
         let acc: CycleStats = runner.run(0, |_, _| unreachable!());
@@ -1550,8 +736,6 @@ mod tests {
                 .trials(100)
                 .run(3, &runner)
                 .unwrap_err();
-            assert_eq!(err, SimError::Cancelled);
-            let err = latency_triple_batch(&bound, &[0.5], 100, 3, &runner).unwrap_err();
             assert_eq!(err, SimError::Cancelled);
         }
     }

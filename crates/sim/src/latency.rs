@@ -1,16 +1,17 @@
 //! Latency statistics: best / average / worst summaries in cycles and
 //! nanoseconds, in the format of the paper's Table 2.
 
-use crate::batch::derive_seed;
-use crate::cent::{simulate_cent, CentControlUnit};
-use crate::centsync::simulate_cent_sync;
-use crate::distributed::simulate_distributed;
-use crate::elastic::{elastic_trial_skew_seed, simulate_elastic, simulate_elastic_saturated};
+use crate::batch::{trial_rng, BatchRunner, CycleStats, FirstError, SimJob};
+use crate::cent::{simulate_cent_with, CentControlUnit};
+use crate::centsync::simulate_cent_sync_with;
+use crate::distributed::simulate_distributed_with;
+use crate::elastic::{elastic_trial_skew_seed, simulate_elastic_saturated, simulate_elastic_with};
 use crate::error::SimError;
 use crate::fault::SimConfig;
 use crate::kernel::ElasticSpec;
 use crate::model::CompletionModel;
-use rand::Rng;
+use crate::sliced::{LaneConfigs, LaneModels, LaneOutcome, SlicedSim, LANES};
+use rand::rngs::StdRng;
 use tauhls_fsm::DistributedControlUnit;
 use tauhls_sched::BoundDfg;
 
@@ -166,286 +167,311 @@ impl std::ops::BitOr for ControlStyleSet {
     }
 }
 
-/// The generated machinery one [`ControlStyle`] needs — built once per
-/// summary, reused across trials.
-enum Engine {
-    Dist(DistributedControlUnit),
-    Cent(CentControlUnit),
+/// One leg of a coupled trial: the engine a [`ControlStyle`] runs on. The
+/// declaration order is the order every trial runs its legs in (sync →
+/// dist → cent → elastic), and the discriminant indexes the per-leg
+/// arrays of [`latency_batch`].
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum Leg {
     Sync,
-    Elastic(DistributedControlUnit, ElasticSpec),
+    Dist,
+    Cent,
+    Elastic,
 }
 
-impl Engine {
-    fn generate(bound: &BoundDfg, style: ControlStyle) -> Self {
+impl Leg {
+    const ALL: [Leg; 4] = [Leg::Sync, Leg::Dist, Leg::Cent, Leg::Elastic];
+
+    /// The leg a style runs on, with the elastic spec it carries (zero for
+    /// the synchronous styles, which never read it).
+    pub(crate) fn of(style: ControlStyle) -> (Leg, ElasticSpec) {
         match style {
-            ControlStyle::Distributed => Engine::Dist(DistributedControlUnit::generate(bound)),
-            ControlStyle::Cent => Engine::Cent(CentControlUnit::without_product(bound)),
-            ControlStyle::CentSync => Engine::Sync,
-            ControlStyle::Elastic(spec) => {
-                Engine::Elastic(DistributedControlUnit::generate(bound), spec)
-            }
+            ControlStyle::CentSync => (Leg::Sync, ElasticSpec::zero()),
+            ControlStyle::Distributed => (Leg::Dist, ElasticSpec::zero()),
+            ControlStyle::Cent => (Leg::Cent, ElasticSpec::zero()),
+            ControlStyle::Elastic(spec) => (Leg::Elastic, spec),
         }
     }
 
-    /// Runs one trial. `run_tag` numbers the run within the summary; only
-    /// the elastic engine consumes it (its skew schedule is drawn from
-    /// `elastic_trial_skew_seed(0, 0, run_tag)`, never from `rng`, so the
-    /// synchronous styles' RNG streams are unaffected by the tag).
-    fn run_once<R: Rng>(
-        &self,
-        bound: &BoundDfg,
-        model: &CompletionModel,
-        rng: &mut R,
-        run_tag: u64,
-    ) -> Result<usize, SimError> {
-        Ok(match self {
-            Engine::Dist(cu) => simulate_distributed(bound, cu, model, None, rng)?.cycles,
-            Engine::Cent(cu) => simulate_cent(bound, cu, model, None, rng)?.cycles,
-            Engine::Sync => simulate_cent_sync(bound, model, None, rng)?.cycles,
-            Engine::Elastic(cu, spec) => {
-                let skew_seed = elastic_trial_skew_seed(0, 0, run_tag);
-                simulate_elastic(bound, cu, model, None, rng, *spec, skew_seed)?.cycles
-            }
-        })
+    fn flag(self) -> ControlStyleSet {
+        match self {
+            Leg::Sync => ControlStyleSet::TAU,
+            Leg::Dist => ControlStyleSet::DIST,
+            Leg::Cent => ControlStyleSet::CENT,
+            Leg::Elastic => ControlStyleSet::ELASTIC,
+        }
     }
 }
 
-/// Measures a [`LatencySummary`] for a bound DFG under one control style.
-///
-/// Best/worst come from the deterministic extreme models; each average is
-/// a Monte-Carlo mean over `trials` runs of `Bernoulli(p)`.
-///
-/// Returns [`SimError::InvalidConfig`] when `trials == 0` and propagates
-/// any simulation failure.
-pub fn latency_summary(
-    bound: &BoundDfg,
-    style: ControlStyle,
-    p_values: &[f64],
-    trials: usize,
-    rng: &mut impl Rng,
-) -> Result<LatencySummary, SimError> {
-    if trials == 0 {
-        return Err(SimError::InvalidConfig(
-            "latency summary needs trials >= 1".to_string(),
-        ));
-    }
-    let engine = Engine::generate(bound, style);
-    // Envelope legs: deterministic completion extremes. The elastic style
-    // additionally pins the schedule-space extremes — stall-free floor
-    // for best, saturated ceiling for worst — so its envelope brackets
-    // the averages regardless of the skew seeds the trials draw.
-    let (best_cycles, worst_cycles) = match &engine {
-        Engine::Elastic(cu, spec) => {
-            let floor = ElasticSpec {
-                skew_bound: 0,
-                ..*spec
-            };
-            let cfg = SimConfig::default();
-            (
-                simulate_elastic(
-                    bound,
-                    cu,
-                    &CompletionModel::AlwaysShort,
-                    None,
-                    rng,
-                    floor,
-                    0,
-                )?
-                .cycles,
-                simulate_elastic_saturated(
-                    bound,
-                    cu,
-                    &CompletionModel::AlwaysLong,
-                    None,
-                    rng,
-                    &cfg,
-                    *spec,
-                )?
-                .cycles,
-            )
-        }
-        _ => (
-            engine.run_once(bound, &CompletionModel::AlwaysShort, rng, 0)?,
-            engine.run_once(bound, &CompletionModel::AlwaysLong, rng, 1)?,
-        ),
-    };
-    let mut run_tag = 2u64;
-    let mut run = |model: &CompletionModel, rng: &mut _| {
-        let tag = run_tag;
-        run_tag += 1;
-        engine.run_once(bound, model, rng, tag)
-    };
-    let mut average_cycles = Vec::with_capacity(p_values.len());
-    for &p in p_values {
-        let mut total = 0usize;
-        for _ in 0..trials {
-            total += run(&CompletionModel::Bernoulli { p }, rng)?;
-        }
-        average_cycles.push(total as f64 / trials as f64);
-    }
-    Ok(LatencySummary {
-        best_cycles,
-        average_cycles,
-        worst_cycles,
-        p_values: p_values.to_vec(),
-    })
-}
-
-/// Measures `LT_TAU` (CENT-SYNC) and `LT_DIST` summaries with **coupled**
-/// completion draws: each trial draws one short/long outcome per operation
-/// and feeds the same table to both styles, so the comparison is free of
-/// sampling skew (distributed control dominates per-trial, not merely in
-/// expectation).
-///
-/// Returns `(sync, dist)`, or [`SimError::InvalidConfig`] when
-/// `trials == 0`.
-pub fn latency_pair(
-    bound: &BoundDfg,
-    p_values: &[f64],
-    trials: usize,
-    rng: &mut impl Rng,
-) -> Result<(LatencySummary, LatencySummary), SimError> {
-    if trials == 0 {
-        return Err(SimError::InvalidConfig(
-            "latency pair needs trials >= 1".to_string(),
-        ));
-    }
-    let cu = DistributedControlUnit::generate(bound);
-    let num_ops = bound.dfg().num_ops();
-    let measure = |model: &CompletionModel, rng: &mut _| -> Result<(usize, usize), SimError> {
-        Ok((
-            simulate_cent_sync(bound, model, None, rng)?.cycles,
-            simulate_distributed(bound, &cu, model, None, rng)?.cycles,
-        ))
-    };
-    let (sync_best, dist_best) = measure(&CompletionModel::AlwaysShort, rng)?;
-    let (sync_worst, dist_worst) = measure(&CompletionModel::AlwaysLong, rng)?;
-    let mut sync_avg = Vec::with_capacity(p_values.len());
-    let mut dist_avg = Vec::with_capacity(p_values.len());
-    for &p in p_values {
-        let mut s_total = 0usize;
-        let mut d_total = 0usize;
-        for _ in 0..trials {
-            let table = CompletionModel::draw_table(num_ops, p, rng);
-            let (s, d) = measure(&table, rng)?;
-            debug_assert!(d <= s, "distributed lost a coupled trial: {d} > {s}");
-            s_total += s;
-            d_total += d;
-        }
-        sync_avg.push(s_total as f64 / trials as f64);
-        dist_avg.push(d_total as f64 / trials as f64);
-    }
-    Ok((
-        LatencySummary {
-            best_cycles: sync_best,
-            average_cycles: sync_avg,
-            worst_cycles: sync_worst,
-            p_values: p_values.to_vec(),
-        },
-        LatencySummary {
-            best_cycles: dist_best,
-            average_cycles: dist_avg,
-            worst_cycles: dist_worst,
-            p_values: p_values.to_vec(),
-        },
-    ))
-}
-
-/// Measures all three controller styles — `LT_TAU` (CENT-SYNC), `LT_DIST`,
-/// and `LT_CENT` — with **coupled** completion draws: one table per trial,
-/// fed to every style.
-///
-/// The deterministic models never consume RNG, so the sync and dist legs
-/// reproduce [`latency_pair`] bit for bit; the CENT leg is expected to
-/// match DIST exactly (the product controller is bisimilar to the
-/// distributed one) and that equality is *measured* per trial, not
-/// assumed.
-///
-/// Returns `(sync, dist, cent)`, or [`SimError::InvalidConfig`] when
-/// `trials == 0`.
-pub fn latency_triple(
-    bound: &BoundDfg,
-    p_values: &[f64],
-    trials: usize,
-    rng: &mut impl Rng,
-) -> Result<(LatencySummary, LatencySummary, LatencySummary), SimError> {
-    if trials == 0 {
-        return Err(SimError::InvalidConfig(
-            "latency triple needs trials >= 1".to_string(),
-        ));
-    }
-    let cu = DistributedControlUnit::generate(bound);
-    let cent_cu = CentControlUnit::without_product(bound);
-    let num_ops = bound.dfg().num_ops();
-    let measure =
-        |model: &CompletionModel, rng: &mut _| -> Result<(usize, usize, usize), SimError> {
-            Ok((
-                simulate_cent_sync(bound, model, None, rng)?.cycles,
-                simulate_distributed(bound, &cu, model, None, rng)?.cycles,
-                simulate_cent(bound, &cent_cu, model, None, rng)?.cycles,
-            ))
-        };
-    let (sync_best, dist_best, cent_best) = measure(&CompletionModel::AlwaysShort, rng)?;
-    let (sync_worst, dist_worst, cent_worst) = measure(&CompletionModel::AlwaysLong, rng)?;
-    let mut sync_avg = Vec::with_capacity(p_values.len());
-    let mut dist_avg = Vec::with_capacity(p_values.len());
-    let mut cent_avg = Vec::with_capacity(p_values.len());
-    for &p in p_values {
-        let mut s_total = 0usize;
-        let mut d_total = 0usize;
-        let mut c_total = 0usize;
-        for _ in 0..trials {
-            let table = CompletionModel::draw_table(num_ops, p, rng);
-            let (s, d, c) = measure(&table, rng)?;
-            debug_assert!(d <= s, "distributed lost a coupled trial: {d} > {s}");
-            debug_assert_eq!(c, d, "CENT diverged from DIST on a coupled trial");
-            s_total += s;
-            d_total += d;
-            c_total += c;
-        }
-        sync_avg.push(s_total as f64 / trials as f64);
-        dist_avg.push(d_total as f64 / trials as f64);
-        cent_avg.push(c_total as f64 / trials as f64);
-    }
-    let summary = |best, avg: Vec<f64>, worst| LatencySummary {
-        best_cycles: best,
-        average_cycles: avg,
-        worst_cycles: worst,
-        p_values: p_values.to_vec(),
-    };
-    Ok((
-        summary(sync_best, sync_avg, sync_worst),
-        summary(dist_best, dist_avg, dist_worst),
-        summary(cent_best, cent_avg, cent_worst),
-    ))
-}
-
-/// Measures all four controller styles — `LT_TAU`, `LT_DIST`, `LT_CENT`
-/// and `LT_ELAS` — with **coupled** completion draws: one table per trial,
-/// fed to every style.
-///
-/// The elastic leg draws its per-trial skew schedule from
-/// `derive_seed(skew_seed, p_index, trial)` — never from `rng` — so the
-/// first three legs reproduce [`latency_triple`] bit for bit under the
-/// same seed. Per coupled trial, DIST can only be at least as fast as
-/// ELASTIC (skew stalls and handshake latency never speed a run up);
-/// that domination is debug-asserted, like the CENT/DIST bisimulation.
-///
-/// Best/worst elastic legs are schedule-independent extremes of the
-/// whole spec space: the best cell runs the stall-free floor schedule
-/// (spec `{skew_bound: 0, sync_latency}`), the worst the saturated
-/// schedule ([`simulate_elastic_saturated`]), so the envelope brackets
-/// the seeded per-trial averages no matter which skew seeds they drew.
-///
-/// Returns `(sync, dist, cent, elastic)`, or
-/// [`SimError::InvalidConfig`] when `trials == 0`.
-pub fn latency_quad(
-    bound: &BoundDfg,
-    p_values: &[f64],
-    trials: usize,
+/// The generated machinery every leg runs on, built once per measurement:
+/// the CENT unit, whose component bank is the DIST unit, so one generation
+/// serves DIST, CENT and ELASTIC, plus the elastic spec.
+pub(crate) struct Engines<'a> {
+    bound: &'a BoundDfg,
+    cent: CentControlUnit,
     spec: ElasticSpec,
-    skew_seed: u64,
-    rng: &mut impl Rng,
+}
+
+impl<'a> Engines<'a> {
+    pub(crate) fn new(bound: &'a BoundDfg, spec: ElasticSpec) -> Self {
+        Engines {
+            bound,
+            cent: CentControlUnit::without_product(bound),
+            spec,
+        }
+    }
+
+    pub(crate) fn dist(&self) -> &DistributedControlUnit {
+        self.cent.components()
+    }
+
+    /// The sliced twin of `leg`: the CENT-SYNC engine, or the DIST bank
+    /// that DIST, CENT and ELASTIC lanes all run on.
+    pub(crate) fn sliced(&self, leg: Leg) -> SlicedSim<'_> {
+        match leg {
+            Leg::Sync => SlicedSim::cent_sync(self.bound, None),
+            _ => SlicedSim::distributed(self.bound, self.dist(), None),
+        }
+    }
+
+    /// Runs one leg of one trial through the scalar kernel; only the
+    /// elastic leg reads `skew_seed`.
+    pub(crate) fn scalar(
+        &self,
+        leg: Leg,
+        model: &CompletionModel,
+        rng: &mut StdRng,
+        cfg: &SimConfig,
+        skew_seed: u64,
+    ) -> Result<usize, SimError> {
+        let bound = self.bound;
+        let run = match leg {
+            Leg::Sync => simulate_cent_sync_with(bound, model, None, rng, cfg),
+            Leg::Dist => simulate_distributed_with(bound, self.dist(), model, None, rng, cfg),
+            Leg::Cent => simulate_cent_with(bound, &self.cent, model, None, rng, cfg),
+            Leg::Elastic => {
+                let cu = self.dist();
+                simulate_elastic_with(bound, cu, model, None, rng, cfg, self.spec, skew_seed)
+            }
+        };
+        Ok(run?.cycles)
+    }
+
+    /// The `(best, worst)` cells of one leg. The synchronous legs run the
+    /// completion extremes. The elastic leg pins the schedule-space
+    /// extremes as well — the stall-free floor for best, the saturated
+    /// ceiling for worst — so its envelope brackets the seeded averages
+    /// whichever skew seeds they drew, and is the same in every partition.
+    /// Deterministic models draw nothing from the RNG.
+    fn envelope(&self, leg: Leg, base_seed: u64) -> Result<(usize, usize), SimError> {
+        let mut rng = trial_rng(base_seed, u64::MAX, 0);
+        let (short, long) = (&CompletionModel::AlwaysShort, &CompletionModel::AlwaysLong);
+        let cfg = &SimConfig::default();
+        if leg != Leg::Elastic {
+            return Ok((
+                self.scalar(leg, short, &mut rng, cfg, 0)?,
+                self.scalar(leg, long, &mut rng, cfg, 0)?,
+            ));
+        }
+        let (bound, cu) = (self.bound, self.dist());
+        let floor = ElasticSpec {
+            skew_bound: 0,
+            ..self.spec
+        };
+        let best = simulate_elastic_with(bound, cu, short, None, &mut rng, cfg, floor, 0)?;
+        let worst = simulate_elastic_saturated(bound, cu, long, None, &mut rng, cfg, self.spec)?;
+        Ok((best.cycles, worst.cycles))
+    }
+}
+
+/// Per-worker scratch of [`latency_batch`], reused across every chunk the
+/// worker claims: the sliced engines of the requested legs plus the lane
+/// buffers.
+struct Slab<'a> {
+    /// The CENT-SYNC engine, when `tau` is requested.
+    sync: Option<SlicedSim<'a>>,
+    /// The DIST controller bank, when `dist`, `cent` or `elastic` is
+    /// requested: CENT records its cycles, ELASTIC re-clocks it.
+    bank: Option<SlicedSim<'a>>,
+    rngs: Vec<StdRng>,
+    tables: Vec<CompletionModel>,
+    skews: Vec<u64>,
+}
+
+/// Measures one [`LatencySummary`] per style in `styles` with **coupled**
+/// completion draws, on the deterministic batch engine.
+///
+/// Every trial of every swept `(job_id, p)` draws one completion table
+/// from `trial_rng(base_seed, job_id, trial)` and feeds it to each
+/// requested leg, in the fixed order sync → dist → cent → elastic, so
+/// the comparison is free of sampling skew: distributed control dominates
+/// per trial, not merely in expectation. Table models draw nothing
+/// further, and the elastic skew schedule comes from
+/// [`elastic_trial_skew_seed`], so each leg's numbers are the same
+/// whichever other styles are requested.
+///
+/// Only the sliced engines of the requested styles run; CENT records the
+/// cycles of the sliced DIST bank it is bisimilar to. A lane the sliced
+/// engine declines is re-run through the scalar kernel from a fresh
+/// trial RNG. Debug builds assert per trial that DIST never loses to
+/// CENT-SYNC, that CENT equals DIST and that ELASTIC never beats DIST.
+///
+/// Each swept `P` seeds its trials from its supplied `job_id`, not its
+/// position in `indexed_p`, so a contiguous sub-range of a sweep run with
+/// its global indices reproduces the full sweep's averages exactly; that
+/// is what a cluster partitions on. Best and worst cells come from
+/// deterministic extremes, identical in every partition.
+///
+/// Returns the summaries in canonical order (`tau`, `dist`, `cent`,
+/// `elastic`; see [`ControlStyleSet::names`]),
+/// [`SimError::InvalidConfig`] when `trials == 0` or `styles` is empty,
+/// [`SimError::Cancelled`] once `runner`'s token fires, or the error of
+/// the lowest-numbered failing trial.
+pub fn latency_batch(
+    bound: &BoundDfg,
+    styles: ControlStyleSet,
+    indexed_p: &[(u64, f64)],
+    trials: u64,
+    base_seed: u64,
+    elastic: ElasticSpec,
+    runner: &BatchRunner,
+) -> Result<Vec<LatencySummary>, SimError> {
+    if trials == 0 || styles.is_empty() {
+        return Err(SimError::InvalidConfig(
+            "latency batch needs trials >= 1 and at least one style".to_string(),
+        ));
+    }
+    let legs: Vec<Leg> = Leg::ALL
+        .into_iter()
+        .filter(|leg| styles.contains(leg.flag()))
+        .collect();
+    let wants = |leg: Leg| styles.contains(leg.flag());
+    let engines = Engines::new(bound, elastic);
+    let fault_free = SimConfig::default();
+    let envelopes = legs
+        .iter()
+        .map(|&leg| engines.envelope(leg, base_seed))
+        .collect::<Result<Vec<_>, _>>()?;
+    let num_ops = bound.dfg().num_ops();
+    let mut averages: [Vec<f64>; 4] = Default::default();
+    for &(job_id, p) in indexed_p {
+        type LegStats = ([CycleStats; 4], FirstError);
+        let (stats, errors): LegStats = runner.run_chunked(
+            trials,
+            || Slab {
+                sync: wants(Leg::Sync).then(|| engines.sliced(Leg::Sync)),
+                bank: (wants(Leg::Dist) || wants(Leg::Cent) || wants(Leg::Elastic))
+                    .then(|| engines.sliced(Leg::Dist)),
+                rngs: Vec::new(),
+                tables: Vec::new(),
+                skews: Vec::new(),
+            },
+            |w: &mut Slab, range, (stats, errors): &mut LegStats| {
+                let mut start = range.start;
+                while start < range.end {
+                    let end = (start + LANES as u64).min(range.end);
+                    w.rngs.clear();
+                    w.tables.clear();
+                    w.skews.clear();
+                    for trial in start..end {
+                        let mut rng = trial_rng(base_seed, job_id, trial);
+                        w.tables
+                            .push(CompletionModel::draw_table(num_ops, p, &mut rng));
+                        w.rngs.push(rng);
+                        w.skews
+                            .push(elastic_trial_skew_seed(base_seed, job_id, trial));
+                    }
+                    let models = LaneModels::PerLane(&w.tables);
+                    let cfgs = LaneConfigs::Shared(&fault_free);
+                    let sync = w
+                        .sync
+                        .as_mut()
+                        .map(|sim| sim.run(&models, &cfgs, &mut w.rngs));
+                    let bank = match &mut w.bank {
+                        Some(sim) if wants(Leg::Dist) || wants(Leg::Cent) => {
+                            Some(sim.run(&models, &cfgs, &mut w.rngs))
+                        }
+                        _ => None,
+                    };
+                    let elas = match &mut w.bank {
+                        Some(sim) if wants(Leg::Elastic) => {
+                            Some(sim.run_elastic(elastic, &w.skews, &models, &cfgs, &mut w.rngs))
+                        }
+                        _ => None,
+                    };
+                    let sliced = [&sync, &bank, &bank, &elas];
+                    'lanes: for (lane, trial) in (start..end).enumerate() {
+                        let mut cycles = [0usize; 4];
+                        for &leg in &legs {
+                            let done = sliced[leg as usize].as_ref().and_then(|out| out.get(lane));
+                            cycles[leg as usize] = match done {
+                                Some(LaneOutcome::Done(r)) => r.cycles,
+                                _ => {
+                                    let mut rng = trial_rng(base_seed, job_id, trial);
+                                    let table = CompletionModel::draw_table(num_ops, p, &mut rng);
+                                    let skew = elastic_trial_skew_seed(base_seed, job_id, trial);
+                                    match engines.scalar(leg, &table, &mut rng, &fault_free, skew) {
+                                        Ok(c) => c,
+                                        Err(e) => {
+                                            errors.record(trial, e);
+                                            continue 'lanes;
+                                        }
+                                    }
+                                }
+                            };
+                        }
+                        let [s, d, c, e] = cycles;
+                        debug_assert!(
+                            !(wants(Leg::Sync) && wants(Leg::Dist)) || d <= s,
+                            "distributed lost a coupled trial: {d} > {s}"
+                        );
+                        debug_assert!(
+                            !(wants(Leg::Cent) && wants(Leg::Dist)) || c == d,
+                            "CENT diverged from DIST on a coupled trial: {c} != {d}"
+                        );
+                        debug_assert!(
+                            !(wants(Leg::Elastic) && wants(Leg::Dist)) || d <= e,
+                            "elastic beat dist on a coupled trial: {e} < {d}"
+                        );
+                        for &leg in &legs {
+                            stats[leg as usize].record(cycles[leg as usize]);
+                        }
+                    }
+                    start = end;
+                }
+            },
+        );
+        runner.check_cancelled()?;
+        errors.into_result()?;
+        for &leg in &legs {
+            averages[leg as usize].push(stats[leg as usize].mean());
+        }
+    }
+    let p_values: Vec<f64> = indexed_p.iter().map(|&(_, p)| p).collect();
+    Ok(legs
+        .iter()
+        .zip(envelopes)
+        .map(|(&leg, (best_cycles, worst_cycles))| LatencySummary {
+            best_cycles,
+            average_cycles: std::mem::take(&mut averages[leg as usize]),
+            worst_cycles,
+            p_values: p_values.clone(),
+        })
+        .collect())
+}
+
+/// [`latency_batch`] over every style, with `P` values indexed by
+/// position.
+///
+/// Returns `(sync, dist, cent, elastic)`, or [`SimError::InvalidConfig`]
+/// when `trials == 0`.
+pub fn latency_quad_batch(
+    bound: &BoundDfg,
+    p_values: &[f64],
+    trials: u64,
+    base_seed: u64,
+    spec: ElasticSpec,
+    runner: &BatchRunner,
 ) -> Result<
     (
         LatencySummary,
@@ -455,92 +481,53 @@ pub fn latency_quad(
     ),
     SimError,
 > {
+    let indexed: Vec<(u64, f64)> = (0..).zip(p_values.iter().copied()).collect();
+    let all = ControlStyleSet::all();
+    match <[LatencySummary; 4]>::try_from(latency_batch(
+        bound, all, &indexed, trials, base_seed, spec, runner,
+    )?) {
+        Ok([sync, dist, cent, elas]) => Ok((sync, dist, cent, elas)),
+        Err(_) => Err(SimError::InvalidConfig(
+            "latency batch returned fewer than four legs".to_string(),
+        )),
+    }
+}
+
+/// Measures one style **uncoupled**: best/worst from the deterministic
+/// extremes (the same envelope as [`latency_batch`]), averages from
+/// batched Bernoulli [`SimJob`]s with one `job_id` per swept `P`, which
+/// draw each completion inside the kernel as it is reached.
+///
+/// Returns [`SimError::InvalidConfig`] when `trials == 0`.
+pub fn latency_summary_batch(
+    bound: &BoundDfg,
+    style: ControlStyle,
+    p_values: &[f64],
+    trials: u64,
+    base_seed: u64,
+    runner: &BatchRunner,
+) -> Result<LatencySummary, SimError> {
     if trials == 0 {
         return Err(SimError::InvalidConfig(
-            "latency quad needs trials >= 1".to_string(),
+            "latency summary needs trials >= 1".to_string(),
         ));
     }
-    let cu = DistributedControlUnit::generate(bound);
-    let cent_cu = CentControlUnit::without_product(bound);
-    let num_ops = bound.dfg().num_ops();
-    let measure = |model: &CompletionModel,
-                   rng: &mut _,
-                   trial_skew: u64|
-     -> Result<(usize, usize, usize, usize), SimError> {
-        Ok((
-            simulate_cent_sync(bound, model, None, rng)?.cycles,
-            simulate_distributed(bound, &cu, model, None, rng)?.cycles,
-            simulate_cent(bound, &cent_cu, model, None, rng)?.cycles,
-            simulate_elastic(bound, &cu, model, None, rng, spec, trial_skew)?.cycles,
-        ))
-    };
-    // Deterministic models draw nothing from `rng`, so the discarded
-    // elastic legs of the two `measure` calls leave the stream untouched.
-    let floor = ElasticSpec {
-        skew_bound: 0,
-        ..spec
-    };
-    let cfg = SimConfig::default();
-    let (sync_best, dist_best, cent_best, _) = measure(&CompletionModel::AlwaysShort, rng, 0)?;
-    let elas_best = simulate_elastic(
-        bound,
-        &cu,
-        &CompletionModel::AlwaysShort,
-        None,
-        rng,
-        floor,
-        0,
-    )?
-    .cycles;
-    let (sync_worst, dist_worst, cent_worst, _) = measure(&CompletionModel::AlwaysLong, rng, 0)?;
-    let elas_worst = simulate_elastic_saturated(
-        bound,
-        &cu,
-        &CompletionModel::AlwaysLong,
-        None,
-        rng,
-        &cfg,
-        spec,
-    )?
-    .cycles;
-    let mut sync_avg = Vec::with_capacity(p_values.len());
-    let mut dist_avg = Vec::with_capacity(p_values.len());
-    let mut cent_avg = Vec::with_capacity(p_values.len());
-    let mut elas_avg = Vec::with_capacity(p_values.len());
-    for (idx, &p) in p_values.iter().enumerate() {
-        let mut s_total = 0usize;
-        let mut d_total = 0usize;
-        let mut c_total = 0usize;
-        let mut e_total = 0usize;
-        for trial in 0..trials {
-            let table = CompletionModel::draw_table(num_ops, p, rng);
-            let trial_skew = derive_seed(skew_seed, idx as u64, trial as u64);
-            let (s, d, c, e) = measure(&table, rng, trial_skew)?;
-            debug_assert!(d <= s, "distributed lost a coupled trial: {d} > {s}");
-            debug_assert_eq!(c, d, "CENT diverged from DIST on a coupled trial");
-            debug_assert!(d <= e, "elastic beat dist on a coupled trial: {e} < {d}");
-            s_total += s;
-            d_total += d;
-            c_total += c;
-            e_total += e;
-        }
-        sync_avg.push(s_total as f64 / trials as f64);
-        dist_avg.push(d_total as f64 / trials as f64);
-        cent_avg.push(c_total as f64 / trials as f64);
-        elas_avg.push(e_total as f64 / trials as f64);
-    }
-    let summary = |best, avg: Vec<f64>, worst| LatencySummary {
-        best_cycles: best,
-        average_cycles: avg,
-        worst_cycles: worst,
+    let (leg, spec) = Leg::of(style);
+    let (best_cycles, worst_cycles) = Engines::new(bound, spec).envelope(leg, base_seed)?;
+    let average_cycles = (0..)
+        .zip(p_values)
+        .map(|(job_id, &p)| {
+            let model = CompletionModel::Bernoulli { p };
+            let job = SimJob::new(bound, style, &model).trials(trials);
+            Ok(job.job_id(job_id).run(base_seed, runner)?.mean())
+        })
+        .collect::<Result<_, SimError>>()?;
+    Ok(LatencySummary {
+        best_cycles,
+        average_cycles,
+        worst_cycles,
         p_values: p_values.to_vec(),
-    };
-    Ok((
-        summary(sync_best, sync_avg, sync_worst),
-        summary(dist_best, dist_avg, dist_worst),
-        summary(cent_best, cent_avg, cent_worst),
-        summary(elas_best, elas_avg, elas_worst),
-    ))
+    })
 }
 
 /// Percentage improvement of `dist` over `sync` per swept `P`
@@ -556,114 +543,191 @@ pub fn enhancement_percent(sync: &LatencySummary, dist: &LatencySummary) -> Vec<
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
-    use tauhls_dfg::benchmarks::{fir5, iir2};
+    use crate::batch::CancelToken;
+    use tauhls_dfg::benchmarks::{fir3, fir5, iir2};
     use tauhls_sched::Allocation;
 
+    fn fir5_bound() -> BoundDfg {
+        BoundDfg::bind(&fir5(), &Allocation::paper(2, 1, 0))
+    }
+
+    fn indexed(ps: &[f64]) -> Vec<(u64, f64)> {
+        (0..).zip(ps.iter().copied()).collect()
+    }
+
+    /// Every non-empty style set, built from the canonical flags.
+    fn every_subset() -> Vec<ControlStyleSet> {
+        (1u8..16)
+            .map(|mask| {
+                (0..4)
+                    .filter(|bit| mask >> bit & 1 == 1)
+                    .fold(ControlStyleSet::empty(), |set, bit| {
+                        set | Leg::ALL[bit].flag()
+                    })
+            })
+            .collect()
+    }
+
     #[test]
-    fn fir5_distributed_beats_sync_on_average() {
-        let bound = BoundDfg::bind(&fir5(), &Allocation::paper(2, 1, 0));
-        let mut rng = StdRng::seed_from_u64(1);
+    fn every_style_subset_reproduces_the_all_styles_legs() {
+        let bound = fir5_bound();
+        let ps = indexed(&[0.9, 0.5]);
+        let spec = ElasticSpec::default();
+        for trials in [1u64, 63, 64, 65, 257] {
+            let all = latency_batch(
+                &bound,
+                ControlStyleSet::all(),
+                &ps,
+                trials,
+                5,
+                spec,
+                &BatchRunner::serial(),
+            )
+            .unwrap();
+            for runner in [
+                BatchRunner::serial(),
+                BatchRunner::new(4),
+                BatchRunner::new(4).with_chunk_size(10),
+            ] {
+                for set in every_subset() {
+                    let want: Vec<LatencySummary> = Leg::ALL
+                        .iter()
+                        .zip(&all)
+                        .filter(|(leg, _)| set.contains(leg.flag()))
+                        .map(|(_, summary)| summary.clone())
+                        .collect();
+                    let got = latency_batch(&bound, set, &ps, trials, 5, spec, &runner).unwrap();
+                    assert_eq!(got, want, "{:?}, trials {trials}, {runner:?}", set.names());
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn coupled_legs_dominate_and_quad_is_the_all_styles_run() {
+        let bound = fir5_bound();
         let ps = [0.9, 0.7, 0.5];
-        let sync = latency_summary(&bound, ControlStyle::CentSync, &ps, 2000, &mut rng).unwrap();
-        let dist = latency_summary(&bound, ControlStyle::Distributed, &ps, 2000, &mut rng).unwrap();
+        let spec = ElasticSpec::default();
+        let runner = BatchRunner::new(2);
+        let (sync, dist, cent, elas) =
+            latency_quad_batch(&bound, &ps, 400, 9, spec, &runner).unwrap();
+        let all = latency_batch(
+            &bound,
+            ControlStyleSet::all(),
+            &indexed(&ps),
+            400,
+            9,
+            spec,
+            &runner,
+        )
+        .unwrap();
+        assert_eq!(
+            all,
+            vec![sync.clone(), dist.clone(), cent.clone(), elas.clone()]
+        );
+        // CENT is cycle-identical to DIST (bisimulation), trial for trial.
+        assert_eq!(cent, dist);
+        for i in 0..ps.len() {
+            let (s, d, e) = (
+                sync.average_cycles[i],
+                dist.average_cycles[i],
+                elas.average_cycles[i],
+            );
+            assert!(d <= s, "dist {d} > sync {s}");
+            assert!(d <= e, "elastic {e} < dist {d}");
+        }
         assert_eq!(sync.best_cycles, dist.best_cycles);
         assert!(dist.worst_cycles <= sync.worst_cycles);
-        for (s, d) in sync.average_cycles.iter().zip(&dist.average_cycles) {
-            assert!(d <= s, "dist {d} > sync {s}");
-        }
+        assert!(dist.worst_cycles <= elas.worst_cycles);
         let enh = enhancement_percent(&sync, &dist);
-        // The paper reports 4.9-13.2 % for FIR5; demand a visible gain.
+        // The paper reports 4.9-13.2 % for FIR5; demand a visible gain
+        // that widens as P shrinks.
         assert!(enh[2] > 2.0, "enhancement at P=0.5: {enh:?}");
-        // Gap widens as P shrinks.
         assert!(enh[2] >= enh[0] - 0.5, "{enh:?}");
     }
 
     #[test]
-    fn averages_monotone_in_p() {
-        let bound = BoundDfg::bind(&iir2(), &Allocation::paper(2, 1, 0));
-        let mut rng = StdRng::seed_from_u64(2);
-        let s = latency_summary(
+    fn indexed_sub_ranges_reproduce_the_full_sweep() {
+        let bound = BoundDfg::bind(&fir3(), &Allocation::paper(1, 1, 0));
+        let ps = [0.1, 0.35, 0.5, 0.75, 0.9];
+        let spec = ElasticSpec::default();
+        let runner = BatchRunner::new(2);
+        let all = ControlStyleSet::all();
+        let full = latency_batch(&bound, all, &indexed(&ps), 40, 9, spec, &runner).unwrap();
+        for (lo, hi) in [(0usize, 2usize), (2, 5), (1, 4), (0, 5)] {
+            let slice: Vec<(u64, f64)> = (lo..hi).map(|i| (i as u64, ps[i])).collect();
+            let part = latency_batch(&bound, all, &slice, 40, 9, spec, &runner).unwrap();
+            for (got, whole) in part.iter().zip(&full) {
+                assert_eq!(got.best_cycles, whole.best_cycles);
+                assert_eq!(got.worst_cycles, whole.worst_cycles);
+                assert_eq!(got.average_cycles, whole.average_cycles[lo..hi].to_vec());
+                assert_eq!(got.p_values, ps[lo..hi].to_vec());
+            }
+        }
+    }
+
+    #[test]
+    fn zero_elastic_spec_collapses_elastic_onto_dist() {
+        let bound = fir5_bound();
+        let styles = ControlStyleSet::DIST | ControlStyleSet::ELASTIC;
+        let legs = latency_batch(
             &bound,
-            ControlStyle::Distributed,
-            &[0.9, 0.7, 0.5],
-            1500,
-            &mut rng,
+            styles,
+            &indexed(&[0.9, 0.5]),
+            300,
+            7,
+            ElasticSpec::zero(),
+            &BatchRunner::new(4),
         )
         .unwrap();
-        assert!(s.average_cycles[0] <= s.average_cycles[1]);
-        assert!(s.average_cycles[1] <= s.average_cycles[2]);
-        assert!(s.best_cycles as f64 <= s.average_cycles[0]);
-        assert!(s.average_cycles[2] <= s.worst_cycles as f64);
+        assert_eq!(legs[0], legs[1]);
     }
 
     #[test]
-    fn coupled_pair_dominates_per_trial() {
-        let bound = BoundDfg::bind(&fir5(), &Allocation::paper(2, 1, 0));
-        let mut rng = StdRng::seed_from_u64(9);
-        let (sync, dist) = latency_pair(&bound, &[0.9, 0.7, 0.5], 400, &mut rng).unwrap();
-        for (s, d) in sync.average_cycles.iter().zip(&dist.average_cycles) {
-            assert!(d <= s, "coupled dist {d} > sync {s}");
+    fn cancelled_runner_and_bad_arguments_are_typed_errors() {
+        let bound = fir5_bound();
+        let ps = indexed(&[0.5]);
+        let spec = ElasticSpec::default();
+        let token = CancelToken::new();
+        token.cancel();
+        for threads in [1usize, 4] {
+            let runner = BatchRunner::new(threads).with_cancel(token.clone());
+            let err = latency_batch(&bound, ControlStyleSet::all(), &ps, 100, 3, spec, &runner)
+                .unwrap_err();
+            assert_eq!(err, SimError::Cancelled);
         }
-        assert!(dist.worst_cycles <= sync.worst_cycles);
-    }
-
-    #[test]
-    fn triple_reproduces_pair_and_cent_tracks_dist() {
-        let bound = BoundDfg::bind(&fir5(), &Allocation::paper(2, 1, 0));
-        let ps = [0.9, 0.5];
-        let mut rng1 = StdRng::seed_from_u64(9);
-        let (pair_sync, pair_dist) = latency_pair(&bound, &ps, 200, &mut rng1).unwrap();
-        let mut rng2 = StdRng::seed_from_u64(9);
-        let (sync, dist, cent) = latency_triple(&bound, &ps, 200, &mut rng2).unwrap();
-        // The extra CENT leg consumes no RNG, so the pair is reproduced
-        // bit for bit under the same seed.
-        assert_eq!(sync, pair_sync);
-        assert_eq!(dist, pair_dist);
-        // CENT is cycle-identical to DIST (bisimulation), trial for trial.
-        assert_eq!(cent, dist);
-    }
-
-    #[test]
-    fn quad_reproduces_triple_and_elastic_never_wins() {
-        let bound = BoundDfg::bind(&fir5(), &Allocation::paper(2, 1, 0));
-        let ps = [0.9, 0.5];
-        let mut rng1 = StdRng::seed_from_u64(9);
-        let (tri_sync, tri_dist, tri_cent) = latency_triple(&bound, &ps, 200, &mut rng1).unwrap();
-        let mut rng2 = StdRng::seed_from_u64(9);
-        let (sync, dist, cent, elas) =
-            latency_quad(&bound, &ps, 200, ElasticSpec::default(), 21, &mut rng2).unwrap();
-        // The extra ELASTIC leg consumes no trial RNG, so the established
-        // triple is reproduced bit for bit under the same seed.
-        assert_eq!(sync, tri_sync);
-        assert_eq!(dist, tri_dist);
-        assert_eq!(cent, tri_cent);
-        // Elastic clocking can only cost cycles (domination is asserted
-        // per coupled trial inside the quad; check the aggregates too).
-        for (d, e) in dist.average_cycles.iter().zip(&elas.average_cycles) {
-            assert!(d <= e, "elastic avg {e} < dist avg {d}");
+        let runner = BatchRunner::serial();
+        for (styles, trials) in [(ControlStyleSet::all(), 0), (ControlStyleSet::empty(), 10)] {
+            let err = latency_batch(&bound, styles, &ps, trials, 3, spec, &runner).unwrap_err();
+            assert!(matches!(err, SimError::InvalidConfig(_)), "{err:?}");
         }
-        assert!(dist.worst_cycles <= elas.worst_cycles);
+        let err = latency_summary_batch(&bound, ControlStyle::Distributed, &[0.5], 0, 3, &runner)
+            .unwrap_err();
+        assert!(matches!(err, SimError::InvalidConfig(_)));
     }
 
     #[test]
-    fn quad_with_zero_spec_collapses_elastic_onto_dist() {
-        let bound = BoundDfg::bind(&fir5(), &Allocation::paper(2, 1, 0));
-        let mut rng = StdRng::seed_from_u64(4);
-        let (_, dist, _, elas) =
-            latency_quad(&bound, &[0.9, 0.5], 150, ElasticSpec::zero(), 99, &mut rng).unwrap();
-        assert_eq!(dist, elas);
-    }
-
-    #[test]
-    fn elastic_summary_runs_and_brackets() {
-        let bound = BoundDfg::bind(&fir5(), &Allocation::paper(2, 1, 0));
-        let mut rng = StdRng::seed_from_u64(6);
-        let style = ControlStyle::Elastic(ElasticSpec::default());
-        let s = latency_summary(&bound, style, &[0.9, 0.5], 200, &mut rng).unwrap();
-        assert!(s.best_cycles as f64 <= s.average_cycles[0]);
-        assert!(s.average_cycles[1] <= s.worst_cycles as f64);
+    fn summary_batch_brackets_extremes_and_is_monotone_in_p() {
+        let runner = BatchRunner::new(2);
+        let cases = [
+            (
+                BoundDfg::bind(&fir3(), &Allocation::paper(1, 1, 0)),
+                ControlStyle::Distributed,
+            ),
+            (
+                BoundDfg::bind(&iir2(), &Allocation::paper(2, 1, 0)),
+                ControlStyle::CentSync,
+            ),
+            (fir5_bound(), ControlStyle::Elastic(ElasticSpec::default())),
+        ];
+        for (bound, style) in cases {
+            let s =
+                latency_summary_batch(&bound, style, &[0.9, 0.5, 0.1], 500, 3, &runner).unwrap();
+            assert!(s.best_cycles as f64 <= s.average_cycles[0], "{style:?}");
+            assert!(s.average_cycles[0] <= s.average_cycles[1], "{style:?}");
+            assert!(s.average_cycles[1] <= s.average_cycles[2], "{style:?}");
+            assert!(s.average_cycles[2] <= s.worst_cycles as f64, "{style:?}");
+        }
     }
 
     #[test]
@@ -693,17 +757,6 @@ mod tests {
             ControlStyleSet::of(ControlStyle::Elastic(ElasticSpec::default())),
             ControlStyleSet::ELASTIC
         );
-    }
-
-    #[test]
-    fn zero_trials_is_a_config_error() {
-        let bound = BoundDfg::bind(&fir5(), &Allocation::paper(2, 1, 0));
-        let mut rng = StdRng::seed_from_u64(0);
-        let err =
-            latency_summary(&bound, ControlStyle::Distributed, &[0.5], 0, &mut rng).unwrap_err();
-        assert!(matches!(err, SimError::InvalidConfig(_)));
-        let err = latency_pair(&bound, &[0.5], 0, &mut rng).unwrap_err();
-        assert!(matches!(err, SimError::InvalidConfig(_)));
     }
 
     #[test]

@@ -8,8 +8,9 @@
 //! * [`simulate_cent_sync`] — the synchronized TAUBM step-walk (`LT_TAU`);
 //! * [`CompletionModel`] — Bernoulli(`P`), deterministic extremes, or
 //!   operand-driven completion through `tauhls-datapath` bit-level units;
-//! * [`latency_summary`] — the `[best][avg@P...][worst]` cells of Table 2
-//!   plus the enhancement column;
+//! * [`latency_batch`] — the `[best][avg@P...][worst]` cells of Table 2
+//!   for any set of controller styles, measured on one coupled completion
+//!   draw per trial, plus the enhancement column;
 //! * [`BatchRunner`] / [`SimJob`] — a deterministic parallel Monte-Carlo
 //!   engine: per-trial RNGs derived from `(base_seed, job_id, trial)` and
 //!   chunk-ordered reduction make results bit-identical for any thread
@@ -25,16 +26,18 @@
 //! Measure the FIR5 row of Table 2 (in cycles):
 //!
 //! ```
-//! use tauhls_sim::{latency_summary, enhancement_percent, ControlStyle};
+//! use tauhls_sim::{latency_batch, enhancement_percent, BatchRunner, ControlStyleSet, ElasticSpec};
 //! use tauhls_sched::{Allocation, BoundDfg};
 //! use tauhls_dfg::benchmarks::fir5;
-//! use rand::SeedableRng;
 //!
 //! let bound = BoundDfg::bind(&fir5(), &Allocation::paper(2, 1, 0));
-//! let mut rng = rand::rngs::StdRng::seed_from_u64(7);
-//! let dist = latency_summary(&bound, ControlStyle::Distributed, &[0.9], 200, &mut rng).unwrap();
-//! let sync = latency_summary(&bound, ControlStyle::CentSync, &[0.9], 200, &mut rng).unwrap();
+//! let styles = ControlStyleSet::TAU | ControlStyleSet::DIST;
+//! let legs = latency_batch(
+//!     &bound, styles, &[(0, 0.9)], 200, 7, ElasticSpec::zero(), &BatchRunner::new(2),
+//! ).unwrap();
+//! let (sync, dist) = (&legs[0], &legs[1]);
 //! assert!(dist.average_cycles[0] <= sync.average_cycles[0]);
+//! assert!(enhancement_percent(sync, dist)[0] >= 0.0);
 //! ```
 //!
 //! Inject a stuck-at-long completion signal and observe the deadlock:
@@ -77,9 +80,8 @@ mod result;
 pub mod sliced;
 
 pub use batch::{
-    derive_seed, latency_pair_batch, latency_quad_batch, latency_quad_batch_indexed,
-    latency_summary_batch, latency_triple_batch, latency_triple_batch_indexed, trial_rng,
-    Accumulator, BatchRunner, CancelToken, CycleStats, FirstError, SimJob, DEFAULT_CHUNK_SIZE,
+    derive_seed, trial_rng, Accumulator, BatchRunner, CancelToken, CycleStats, FirstError, SimJob,
+    DEFAULT_CHUNK_SIZE,
 };
 pub use cent::{simulate_cent, simulate_cent_with, CentControlUnit, CENT_FSM_NAME};
 pub use centsync::{simulate_cent_sync, simulate_cent_sync_with, simulate_cent_sync_with_schedule};
@@ -93,7 +95,7 @@ pub use fault::{Fault, FaultKind, FaultPlan, SimConfig, Watchdog};
 pub use invariant::{check_lockstep, check_token_conservation};
 pub use kernel::{ClockFabric, ElasticSpec};
 pub use latency::{
-    enhancement_percent, latency_pair, latency_quad, latency_summary, latency_triple, ControlStyle,
+    enhancement_percent, latency_batch, latency_quad_batch, latency_summary_batch, ControlStyle,
     ControlStyleSet, LatencySummary,
 };
 pub use model::{CompletionModel, TauLibrary};

@@ -9,7 +9,10 @@
 use rand::SeedableRng;
 use tauhls::dfg::benchmarks::diffeq;
 use tauhls::fsm::DistributedControlUnit;
-use tauhls::sim::{simulate_cent_sync, simulate_distributed, CompletionModel, TauLibrary};
+use tauhls::sim::{
+    latency_batch, simulate_cent_sync, simulate_distributed, BatchRunner, CompletionModel,
+    ControlStyleSet, ElasticSpec, TauLibrary,
+};
 use tauhls::{Allocation, Synthesis};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -72,8 +75,16 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // The paper's Table 2 reports only 0.7-3.4% for Diff.Eq — the smallest
     // gain of all benchmarks, because its schedule rarely has mixed
     // short/long TAUs in one step. The statistical sweep shows it:
-    let (sync, dist) = tauhls::sim::latency_pair(design.bound(), &[0.9, 0.7, 0.5], 4000, &mut rng)
-        .expect("fault-free simulation");
+    let legs = latency_batch(
+        design.bound(),
+        ControlStyleSet::TAU | ControlStyleSet::DIST,
+        &[(0, 0.9), (1, 0.7), (2, 0.5)],
+        4000,
+        7,
+        ElasticSpec::zero(),
+        &BatchRunner::available(),
+    )?;
+    let (sync, dist) = (&legs[0], &legs[1]);
     println!("\nBernoulli sweep (paper's Table 2 Diff row):");
     println!("  LT_TAU  = {}", sync.to_ns_string(clk));
     println!("  LT_DIST = {}", dist.to_ns_string(clk));

@@ -4,11 +4,10 @@
 //!
 //! Run with `cargo run --example quickstart`.
 
-use rand::SeedableRng;
 use tauhls::dfg::DfgBuilder;
 use tauhls::fsm::Encoding;
 use tauhls::logic::AreaModel;
-use tauhls::sim::latency_pair;
+use tauhls::sim::{latency_batch, BatchRunner, ControlStyleSet, ElasticSpec};
 use tauhls::{Allocation, Synthesis};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -58,9 +57,16 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
 
     // 3. Compare latency against the synchronized TAUBM controller.
-    let mut rng = rand::rngs::StdRng::seed_from_u64(42);
-    let (sync, dist) = latency_pair(design.bound(), &[0.9, 0.7, 0.5], 2000, &mut rng)
-        .expect("fault-free simulation");
+    let legs = latency_batch(
+        design.bound(),
+        ControlStyleSet::TAU | ControlStyleSet::DIST,
+        &[(0, 0.9), (1, 0.7), (2, 0.5)],
+        2000,
+        42,
+        ElasticSpec::zero(),
+        &BatchRunner::available(),
+    )?;
+    let (sync, dist) = (&legs[0], &legs[1]);
     let clk = design.timing().clock_ns();
     println!("\nLatency at a {clk} ns clock:");
     println!("  synchronized TAUBM : {}", sync.to_ns_string(clk));

@@ -7,8 +7,8 @@ use tauhls::dfg::{random_dfg, RandomDfgParams};
 use tauhls::fsm::DistributedControlUnit;
 use tauhls::sched::{reachability, BoundDfg, DependencyGraph, ListSchedule};
 use tauhls::sim::{
-    latency_pair_batch, simulate_cent_sync, simulate_distributed, BatchRunner, CompletionModel,
-    ControlStyle, CycleStats, SimJob,
+    latency_batch, simulate_cent_sync, simulate_distributed, BatchRunner, CompletionModel,
+    ControlStyle, ControlStyleSet, CycleStats, ElasticSpec, SimJob,
 };
 use tauhls::Allocation;
 use tauhls_check::{forall, Gen};
@@ -146,16 +146,29 @@ fn batch_engine_matches_serial_oracle_on_random_dfgs() {
         let bound = BoundDfg::bind(&g, &Allocation::paper(muls, adds, subs));
         let seed = gen.u64(0..1 << 48);
         let trials = gen.u64(1..200);
-        let ps = [0.9, 0.5];
-        let serial = latency_pair_batch(&bound, &ps, trials, seed, &BatchRunner::serial())
-            .expect("fault-free simulation");
+        let ps = [(0, 0.9), (1, 0.5)];
+        let styles = ControlStyleSet::TAU | ControlStyleSet::DIST;
+        let run = |runner: &BatchRunner| {
+            latency_batch(
+                &bound,
+                styles,
+                &ps,
+                trials,
+                seed,
+                ElasticSpec::zero(),
+                runner,
+            )
+            .expect("fault-free simulation")
+        };
+        let serial = run(&BatchRunner::serial());
         for threads in [2usize, 8] {
-            let parallel =
-                latency_pair_batch(&bound, &ps, trials, seed, &BatchRunner::new(threads))
-                    .expect("fault-free simulation");
-            assert_eq!(serial, parallel, "threads = {threads}");
+            assert_eq!(
+                serial,
+                run(&BatchRunner::new(threads)),
+                "threads = {threads}"
+            );
         }
-        let (sync, dist) = serial;
+        let (sync, dist) = (&serial[0], &serial[1]);
         for (s, d) in sync.average_cycles.iter().zip(&dist.average_cycles) {
             assert!(d <= s, "dist {d} > sync {s}");
         }
