@@ -145,9 +145,13 @@ fn shift_guard(guard: &Expr, num_inputs: usize, bits: usize) -> Vec<Cube> {
 /// Synthesizes `fsm` under `encoding`, minimizing every next-state and
 /// output function and costing the result with `model`.
 ///
-/// Unused state codes (binary/Gray) become don't-cares for all functions.
-/// Exact Quine–McCluskey is used up to 11 combined variables, the
-/// espresso-style heuristic beyond.
+/// Unused state codes (binary/Gray) become don't-cares for all functions;
+/// one-hot functions get an empty don't-care set (each product tests only
+/// its hot bit). Exact Quine–McCluskey is used up to 11 combined variables
+/// (state bits plus inputs) in every encoding, the espresso-style heuristic
+/// beyond. The widest exact functions are the slowest: one-hot CENT-SYNC
+/// controllers (10–11 variables, on-sets that are wide subcubes) and binary
+/// D-FSMs with 8 completion inputs (11 variables).
 ///
 /// # Panics
 ///

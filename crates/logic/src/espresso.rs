@@ -1,7 +1,9 @@
 //! Heuristic two-level minimization in the style of espresso's
 //! EXPAND / IRREDUNDANT loop, operating on covers (no minterm enumeration),
-//! so it scales to the wide-input functions produced by one-hot-encoded
-//! controllers.
+//! so it scales to functions too wide for exact Quine–McCluskey. FSM
+//! synthesis sends it only functions of more than 11 variables (state bits
+//! plus inputs), such as one-hot controllers with many states; narrower
+//! one-hot controllers are minimized exactly.
 //!
 //! The function to minimize is given as an on-set cover `f` plus an optional
 //! don't-care cover `dc`. All containment checks go through the

@@ -8,10 +8,10 @@
 //! * [`Cube`] / [`Cover`] — product terms and sum-of-products covers with
 //!   the unate-recursive tautology/containment tests.
 //! * [`TruthTable`] — explicit incompletely-specified functions.
-//! * [`minimize_exact`] — Quine–McCluskey prime generation plus exact or
-//!   greedy covering.
-//! * [`minimize_heuristic`] — espresso-style EXPAND/IRREDUNDANT loop that
-//!   scales to wide (e.g. one-hot encoded) controller logic.
+//! * [`minimize_exact`] — Quine–McCluskey prime generation (adjacent cubes
+//!   found by lookup within care-mask groups) plus exact or greedy covering.
+//! * [`minimize_heuristic`] — espresso-style EXPAND/IRREDUNDANT loop for
+//!   functions wider than the exact limit.
 //! * [`Expr`] — guard expressions lowered to covers.
 //! * [`AreaModel`] — gate-equivalent area costing of synthesized blocks.
 //!
@@ -53,9 +53,12 @@ pub use truth::{Tri, TruthTable};
 /// Quine–McCluskey when the function has at most `exact_limit` variables,
 /// the heuristic EXPAND/IRREDUNDANT loop otherwise.
 ///
-/// This is the entry point the FSM synthesizer uses: binary-encoded
-/// controllers stay under the exact limit, one-hot controllers go through
-/// the heuristic.
+/// This is the entry point the FSM synthesizer uses, at an exact limit of
+/// 11. The choice depends only on the variable count (state bits plus
+/// inputs), never on the encoding: the one-hot CENT-SYNC controllers of
+/// fir5, iir2, iir3 and diffeq (7–8 states, 2–3 inputs) and binary D-FSMs
+/// with up to 8 completion inputs go exact; only wider controllers, such
+/// as every one-hot controller of ar_lattice4, go through the heuristic.
 ///
 /// # Examples
 ///

@@ -47,43 +47,79 @@ pub fn minimize_exact(table: &TruthTable) -> Cover {
 }
 
 /// Generates all prime implicants of the function whose on∪dc set is
-/// `minterms`, via classic iterative merging.
+/// `minterms` (bits at or above `n` are ignored), sorted by [`Cube`]'s
+/// order.
+///
+/// Quine–McCluskey merging without the all-pairs comparison: each level's
+/// implicants are grouped by care mask, every group keeps its values sorted,
+/// and a cube `(mask, val)` merges across care bit `b` exactly when
+/// `val ^ b` is in the same group, which a two-pointer scan over the sorted
+/// values finds. A merged cube is generated only across its highest free
+/// bit, so every implicant appears once per level and no level needs a
+/// deduplication pass. Each level then holds *every* implicant of its
+/// width, so a cube that merges with nothing is prime. Memory is bounded by
+/// the number of implicants, never by `2^n`.
+///
+/// # Panics
+///
+/// Panics if `minterms` is non-empty and `n > 64`.
 pub fn prime_implicants(n: usize, minterms: &[u64]) -> Vec<Cube> {
-    let mut current: HashSet<Cube> = minterms.iter().map(|&m| Cube::minterm(n, m)).collect();
+    let Some(&first) = minterms.first() else {
+        return Vec::new();
+    };
+    // A minterm's care mask is all `n` variables (checks `n <= 64`).
+    let full = Cube::minterm(n, first).mask();
+    let mut vals: Vec<u64> = minterms.iter().map(|&m| m & full).collect();
+    vals.sort_unstable();
+    vals.dedup();
+
+    // One level: (care mask, sorted distinct values) per group.
+    let mut level: Vec<(u64, Vec<u64>)> = vec![(full, vals)];
     let mut primes: Vec<Cube> = Vec::new();
-
-    while !current.is_empty() {
-        let cubes: Vec<Cube> = current.iter().copied().collect();
-        let mut merged_flag = vec![false; cubes.len()];
-        let mut next: HashSet<Cube> = HashSet::new();
-
-        // Group by (mask, popcount of val) so only plausible partners meet.
-        for i in 0..cubes.len() {
-            for j in (i + 1)..cubes.len() {
-                if cubes[i].mask() != cubes[j].mask() {
-                    continue;
+    while !level.is_empty() {
+        let mut next: Vec<(u64, Vec<u64>)> = Vec::new();
+        for (mask, vals) in &level {
+            let free = full & !mask;
+            let mut merged = vec![false; vals.len()];
+            let mut care = *mask;
+            while care != 0 {
+                let b = care & care.wrapping_neg();
+                care &= care - 1;
+                // `b` above every free bit: the merged cube's unique parent.
+                let generate = b > free;
+                let mut children = Vec::new();
+                let mut j = 0;
+                for (i, &v) in vals.iter().enumerate() {
+                    if v & b != 0 {
+                        continue;
+                    }
+                    // Partners `v | b` rise with `v`, so `j` only moves on.
+                    let partner = v | b;
+                    while j < vals.len() && vals[j] < partner {
+                        j += 1;
+                    }
+                    if j < vals.len() && vals[j] == partner {
+                        merged[i] = true;
+                        merged[j] = true;
+                        if generate {
+                            children.push(v);
+                        }
+                    }
                 }
-                if let Some(m) = cubes[i].merge_adjacent(&cubes[j]) {
-                    merged_flag[i] = true;
-                    merged_flag[j] = true;
-                    next.insert(m);
+                if !children.is_empty() {
+                    next.push((mask & !b, children));
                 }
             }
+            primes.extend(
+                vals.iter()
+                    .zip(&merged)
+                    .filter(|&(_, &m)| !m)
+                    .map(|(&v, _)| Cube::new(*mask, v)),
+            );
         }
-        for (i, c) in cubes.iter().enumerate() {
-            if !merged_flag[i] {
-                primes.push(*c);
-            }
-        }
-        current = next;
+        level = next;
     }
-    // Merging can produce duplicates of earlier primes via different paths.
     primes.sort_unstable();
-    primes.dedup();
-    // Remove non-maximal cubes (a cube unmerged at one level may still be
-    // contained in a wider prime produced later).
-    let snapshot = primes.clone();
-    primes.retain(|c| !snapshot.iter().any(|d| d != c && d.covers(c)));
     primes
 }
 
@@ -251,6 +287,155 @@ fn cover_branch_bound(primes: &[Cube], onset: &[u64], remaining: &[usize]) -> Ve
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+
+    /// The textbook all-pairs Quine–McCluskey merge, kept as the oracle
+    /// for [`prime_implicants`].
+    fn prime_implicants_pairwise(n: usize, minterms: &[u64]) -> Vec<Cube> {
+        let mut current: HashSet<Cube> = minterms.iter().map(|&m| Cube::minterm(n, m)).collect();
+        let mut primes: Vec<Cube> = Vec::new();
+        while !current.is_empty() {
+            let cubes: Vec<Cube> = current.iter().copied().collect();
+            let mut merged_flag = vec![false; cubes.len()];
+            let mut next: HashSet<Cube> = HashSet::new();
+            for i in 0..cubes.len() {
+                for j in (i + 1)..cubes.len() {
+                    if let Some(m) = cubes[i].merge_adjacent(&cubes[j]) {
+                        merged_flag[i] = true;
+                        merged_flag[j] = true;
+                        next.insert(m);
+                    }
+                }
+            }
+            for (i, c) in cubes.iter().enumerate() {
+                if !merged_flag[i] {
+                    primes.push(*c);
+                }
+            }
+            current = next;
+        }
+        primes.sort_unstable();
+        primes.dedup();
+        let snapshot = primes.clone();
+        primes.retain(|c| !snapshot.iter().any(|d| d != c && d.covers(c)));
+        primes
+    }
+
+    /// Asserts the lookup merge returns exactly the oracle's primes, and
+    /// that no returned cube contains another (unmerged means prime).
+    fn assert_matches_oracle(n: usize, minterms: &[u64]) -> Vec<Cube> {
+        let primes = prime_implicants(n, minterms);
+        assert_eq!(
+            primes,
+            prime_implicants_pairwise(n, minterms),
+            "n = {n}, {} minterms",
+            minterms.len()
+        );
+        for (i, p) in primes.iter().enumerate() {
+            for (j, q) in primes.iter().enumerate() {
+                assert!(i == j || !q.covers(p), "{p:?} lies inside {q:?}");
+            }
+        }
+        primes
+    }
+
+    #[test]
+    fn lookup_merge_equals_pairwise_oracle_on_random_functions() {
+        let mut rng = StdRng::seed_from_u64(0x51ce);
+        // (on-set density, on ∪ dc density) pairs from 0.05 to 0.95.
+        let densities = [
+            (0.05, 0.05),
+            (0.05, 0.25),
+            (0.25, 0.5),
+            (0.5, 0.75),
+            (0.25, 0.95),
+            (0.95, 0.95),
+        ];
+        for n in 1..=10usize {
+            for &(on, on_dc) in &densities {
+                let (mut onset, mut dc) = (Vec::new(), Vec::new());
+                for m in 0..1u64 << n {
+                    let r: f64 = rng.random();
+                    if r < on {
+                        onset.push(m);
+                    } else if r < on_dc {
+                        dc.push(m);
+                    }
+                }
+                let mut care_or_dc = [onset.as_slice(), dc.as_slice()].concat();
+                care_or_dc.sort_unstable();
+                assert_matches_oracle(n, &care_or_dc);
+                let t = TruthTable::from_sets(n, &onset, &dc);
+                assert!(t.is_implemented_by(&minimize_exact(&t)));
+            }
+        }
+    }
+
+    #[test]
+    fn lookup_merge_equals_oracle_on_one_hot_cent_sync_shape() {
+        // Ten variables: eight one-hot state bits x0..x7 and two guard
+        // inputs x8, x9. A next-state bit is "state bit AND guard" with an
+        // empty don't-care set, so the on-set is a wide subcube.
+        let f = |m: u64| m >> 3 & 1 == 1 && (m >> 8 & 1 == 1 || m >> 9 & 1 == 1);
+        let onset: Vec<u64> = (0..1u64 << 10).filter(|&m| f(m)).collect();
+        let primes = assert_matches_oracle(10, &onset);
+        assert_eq!(
+            primes,
+            vec![
+                Cube::from_literals(&[(3, true), (8, true)]),
+                Cube::from_literals(&[(3, true), (9, true)]),
+            ]
+        );
+    }
+
+    #[test]
+    fn lookup_merge_equals_oracle_on_binary_d_fsm_shape() {
+        // Eleven variables: a 3-bit binary state code x0..x2 (codes 6 and 7
+        // unused, so don't-cares) and eight completion inputs x3..x10.
+        let state = |m: u64| m & 0b111;
+        let onset: Vec<u64> = (0..1u64 << 11)
+            .filter(|&m| match state(m) {
+                1 => m >> 3 & 1 == 1,
+                2 => true,
+                4 => m >> 5 & 1 == 0 && m >> 6 & 1 == 1,
+                _ => false,
+            })
+            .collect();
+        let dc: Vec<u64> = (0..1u64 << 11).filter(|&m| state(m) >= 6).collect();
+        let mut care_or_dc = [onset.as_slice(), dc.as_slice()].concat();
+        care_or_dc.sort_unstable();
+        assert_matches_oracle(11, &care_or_dc);
+        let t = TruthTable::from_sets(11, &onset, &dc);
+        assert!(t.is_implemented_by(&minimize_exact(&t)));
+    }
+
+    #[test]
+    fn prime_generation_edge_cases() {
+        assert!(prime_implicants(3, &[]).is_empty());
+        // No minterm, no width check: the old contract for any `n`.
+        assert!(prime_implicants(65, &[]).is_empty());
+        assert_eq!(
+            assert_matches_oracle(4, &[0b1010]),
+            vec![Cube::minterm(4, 0b1010)]
+        );
+        for n in 1..=8usize {
+            let all: Vec<u64> = (0..1u64 << n).collect();
+            assert_eq!(assert_matches_oracle(n, &all), vec![Cube::universe()]);
+        }
+        // Duplicates, and bits at or above `n`, collapse onto one minterm.
+        assert_eq!(
+            assert_matches_oracle(3, &[5, 7, 5, 7, 5 | 8]),
+            vec![Cube::from_literals(&[(0, true), (2, true)])]
+        );
+        // n = 64, where `1 << n` would overflow.
+        let top = 1u64 << 63;
+        let primes = assert_matches_oracle(64, &[0, 1, top, top | 1, u64::MAX]);
+        assert_eq!(
+            primes,
+            vec![Cube::new(!(top | 1), 0), Cube::minterm(64, u64::MAX)]
+        );
+    }
 
     #[test]
     fn minimize_constant_functions() {
